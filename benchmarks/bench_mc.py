@@ -35,8 +35,9 @@ import time
 
 import numpy as np
 
-from repro.fault.domains import CorrelatedFaultInjector, DomainTopology
+from repro.fault.domains import CorrelatedFaultInjector
 from repro.montecarlo import CampaignSpec, run_campaign
+from repro.network.topology import Topology
 
 FULL_SEEDS = 256
 SMALL_SEEDS = 32
@@ -94,7 +95,7 @@ def bench_sampler_match(n_seeds: int, n_nodes: int = 512) -> dict:
     horizon = 7 * 86400.0
     mismatches = 0
     events_checked = 0
-    topology = DomainTopology(n_nodes=n_nodes, nodes_per_rack=4, nodes_per_pod=16)
+    topology = Topology(n_nodes=n_nodes, nodes_per_rack=4, nodes_per_pod=16)
 
     def build(seed):
         return CorrelatedFaultInjector(

@@ -19,8 +19,7 @@ from typing import List, Optional
 
 from ..exec.memo import memoized
 from ..hardware.node import NodeSpec
-from ..network.topology import ClosFabric, shared_fabric
-from ..parallel.placement import Placement
+from ..network.topology import ClosFabric, Topology, shared_fabric
 from ..parallel.plan import ParallelPlan
 from .fabric import FabricCostModel, fabric_collective_cost
 from .primitives import (
@@ -54,18 +53,19 @@ def cross_pod_conflict_factor(active_nodes_per_pod: int = 64, uplinks: int = 32)
 
 @dataclass
 class GroupCommModel:
-    """Prices collectives for one (plan, placement, fabric) deployment.
+    """Prices collectives for one (plan, topology) deployment.
 
     ``backend`` selects the pricing model (see
     :data:`~repro.collectives.primitives.COST_BACKENDS`): ``"analytic"``
-    uses the alpha-beta forms with topology-derived bandwidth derating;
-    ``"fabric"`` routes every collective's per-step flows over the
-    actual CLOS links (:mod:`repro.collectives.fabric`).
+    uses the alpha-beta forms, derating a ring pair that crosses pods
+    (different :meth:`~repro.network.topology.Topology.pod_of`), and
+    needs no fabric; ``"fabric"`` routes every collective's per-step
+    flows over the CLOS links of ``fabric`` (:mod:`repro.collectives.fabric`).
     """
 
     plan: ParallelPlan
-    fabric: ClosFabric
-    placement: Optional[Placement] = None
+    topology: Topology
+    fabric: Optional[ClosFabric] = None
     node_spec: Optional[NodeSpec] = None
     cc_efficiency: float = DEFAULT_CC_EFFICIENCY
     inter_node_latency: float = INTER_NODE_LATENCY
@@ -83,6 +83,8 @@ class GroupCommModel:
         self._conflict_factor = cross_pod_conflict_factor()
         self._fabric_model = None
         if self.backend == "fabric":
+            if self.fabric is None:
+                raise ValueError('backend="fabric" needs a ClosFabric')
             self._fabric_model = FabricCostModel(
                 self.fabric, cc_efficiency=self.cc_efficiency, nic_rate=self._nic_rate
             )
@@ -100,7 +102,7 @@ class GroupCommModel:
             # Same host: NVLink/PCIe shortcut, far faster than the NIC.
             return self.node_spec.gpu_spec.nvlink_bandwidth
         rate = self._nic_rate * self.cc_efficiency
-        if not self.fabric.same_tor(node_a, node_b):
+        if self.topology.pod_of(node_a) != self.topology.pod_of(node_b):
             rate *= self._conflict_factor
         return rate
 
@@ -172,18 +174,23 @@ def build_comm_model(
     inter_node_latency: float = INTER_NODE_LATENCY,
     backend: str = "analytic",
 ) -> GroupCommModel:
-    """Convenience constructor: build a right-sized fabric for the plan.
+    """Convenience constructor: a comm model on a right-sized cluster.
 
-    Fabrics are interned via :func:`~repro.network.topology.shared_fabric`,
-    so plan-search loops that price hundreds of candidates on the same
-    cluster shape reuse one fabric (and its warm cost memo) instead of
-    rebuilding tens of thousands of links per candidate.
+    The analytic backend prices from the :class:`Topology` alone.  Only
+    ``backend="fabric"`` attaches a :class:`ClosFabric`, interned via
+    :func:`~repro.network.topology.shared_fabric`, so plan-search loops
+    that price hundreds of candidates on the same cluster shape reuse
+    one fabric (and its warm cost memo) instead of rebuilding tens of
+    thousands of links per candidate.
     """
     node_spec = node_spec or NodeSpec()
     n_nodes = -(-plan.world_size // node_spec.gpus_per_node)
-    fabric = shared_fabric(n_nodes=n_nodes, nodes_per_pod=nodes_per_pod)
+    fabric = None
+    if backend == "fabric":
+        fabric = shared_fabric(n_nodes=n_nodes, nodes_per_pod=nodes_per_pod)
     return GroupCommModel(
         plan=plan,
+        topology=Topology.for_pods(n_nodes, nodes_per_pod),
         fabric=fabric,
         node_spec=node_spec,
         cc_efficiency=cc_efficiency,

@@ -5,8 +5,8 @@ the failures which actually threaten the >90% effective-training-time
 goal are not independent single-node events: a PSU trips and a whole
 rack powers off; a ToR switch dies and every server it fronts hangs in
 NCCL; a leaf (ToR→agg) link degrades and an entire pod's collectives
-silently slow down.  This module models those domains on top of the
-same CLOS layout :mod:`repro.network.topology` builds:
+silently slow down.  This module models those domains on the
+:class:`~repro.network.topology.Topology` of the CLOS layout:
 
 * **rack** — ``nodes_per_rack`` servers share power and cooling; a PSU
   fault kills all of them at once and each needs a spare.
@@ -30,7 +30,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..network.topology import ClosFabric
+from ..network.topology import Topology
 from .faults import (
     FaultEvent,
     FaultInjector,
@@ -100,78 +100,6 @@ DEFAULT_DOMAINS: List[FaultDomain] = [
 ]
 
 
-@dataclass(frozen=True)
-class DomainTopology:
-    """Maps node indices onto racks and pods (mirrors the CLOS layout)."""
-
-    n_nodes: int
-    nodes_per_rack: int = 8
-    nodes_per_pod: int = 64
-
-    def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ValueError("topology needs at least one node")
-        if self.nodes_per_rack < 1 or self.nodes_per_pod < 1:
-            raise ValueError("rack and pod sizes must be positive")
-        if self.nodes_per_pod % self.nodes_per_rack != 0:
-            raise ValueError("racks must tile pods exactly")
-
-    @classmethod
-    def from_fabric(cls, fabric: ClosFabric, nodes_per_rack: int = 8) -> "DomainTopology":
-        """Derive the domain map from a built CLOS fabric."""
-        return cls(
-            n_nodes=fabric.n_nodes,
-            nodes_per_rack=min(nodes_per_rack, fabric.nodes_per_pod),
-            nodes_per_pod=fabric.nodes_per_pod,
-        )
-
-    @property
-    def n_racks(self) -> int:
-        return -(-self.n_nodes // self.nodes_per_rack)
-
-    @property
-    def n_pods(self) -> int:
-        return -(-self.n_nodes // self.nodes_per_pod)
-
-    def rack_of(self, node: int) -> int:
-        self._check(node)
-        return node // self.nodes_per_rack
-
-    def pod_of(self, node: int) -> int:
-        self._check(node)
-        return node // self.nodes_per_pod
-
-    def nodes_in_rack(self, rack: int) -> List[int]:
-        if not 0 <= rack < self.n_racks:
-            raise ValueError(f"rack {rack} outside 0..{self.n_racks - 1}")
-        start = rack * self.nodes_per_rack
-        return list(range(start, min(start + self.nodes_per_rack, self.n_nodes)))
-
-    def nodes_in_pod(self, pod: int) -> List[int]:
-        if not 0 <= pod < self.n_pods:
-            raise ValueError(f"pod {pod} outside 0..{self.n_pods - 1}")
-        start = pod * self.nodes_per_pod
-        return list(range(start, min(start + self.nodes_per_pod, self.n_nodes)))
-
-    def group_for(self, scope: str, index: int) -> List[int]:
-        if scope == "rack":
-            return self.nodes_in_rack(index)
-        if scope == "pod":
-            return self.nodes_in_pod(index)
-        raise ValueError(f"unknown scope {scope!r}")
-
-    def n_domains(self, scope: str) -> int:
-        if scope == "rack":
-            return self.n_racks
-        if scope == "pod":
-            return self.n_pods
-        raise ValueError(f"unknown scope {scope!r}")
-
-    def _check(self, node: int) -> None:
-        if not 0 <= node < self.n_nodes:
-            raise ValueError(f"node {node} outside topology of {self.n_nodes}")
-
-
 class CorrelatedFaultInjector(FaultInjector):
     """Samples independent node faults *and* correlated domain faults.
 
@@ -187,7 +115,7 @@ class CorrelatedFaultInjector(FaultInjector):
     def __init__(
         self,
         n_nodes: int,
-        topology: Optional[DomainTopology] = None,
+        topology: Optional[Topology] = None,
         domains: Optional[List[FaultDomain]] = None,
         rng: Optional[np.random.Generator] = None,
         catalog: Optional[List[FaultKind]] = None,
@@ -201,7 +129,7 @@ class CorrelatedFaultInjector(FaultInjector):
             rate_multiplier=rate_multiplier,
             sampler=sampler,
         )
-        self.topology = topology or DomainTopology(n_nodes=n_nodes)
+        self.topology = topology or Topology(n_nodes=n_nodes)
         if self.topology.n_nodes != n_nodes:
             raise ValueError("topology size must match n_nodes")
         self.domains = domains if domains is not None else list(DEFAULT_DOMAINS)

@@ -287,6 +287,22 @@ def default_loss_curve(tokens: float) -> float:
     return 1.7 + 14.0 * (tokens / 1e9 + 30.0) ** -0.42
 
 
+def detection_time(
+    event: FaultEvent, heartbeat_interval: float, nccl_hang_timeout: float,
+    silent_fault_detection_time: float, rng: np.random.Generator,
+) -> float:
+    """Seconds from a fault to its detection; draws one uniform from ``rng``."""
+    manifestation = event.kind.manifestation
+    if manifestation is Manifestation.EXPLICIT:
+        # Caught by the next heartbeat's status/log keywords.
+        return float(rng.uniform(0, heartbeat_interval)) + 2.0
+    if manifestation is Manifestation.HANG:
+        # RDMA traffic ceased; needs a few silent windows to be sure.
+        return nccl_hang_timeout + float(rng.uniform(0, heartbeat_interval))
+    # Silent: surfaces at the next heat-map review (§5.1).
+    return float(rng.uniform(0.2, 1.0)) * silent_fault_detection_time
+
+
 @dataclass(frozen=True)
 class ProductionRunConfig:
     """Operational parameters of a long training run."""
@@ -393,17 +409,6 @@ class ProductionRun:
         self.monitors = LiveMonitors(hub, link_rate=monitor_link_rate) if hub else None
 
     # -- per-incident latencies ------------------------------------------------
-
-    def detection_time(self, event: FaultEvent) -> float:
-        cfg = self.config
-        if event.kind.manifestation is Manifestation.EXPLICIT:
-            # Caught by the next heartbeat's status/log keywords.
-            return float(self.rng.uniform(0, cfg.heartbeat_interval)) + 2.0
-        if event.kind.manifestation is Manifestation.HANG:
-            # RDMA traffic ceased; needs a few silent windows to be sure.
-            return cfg.nccl_hang_timeout + float(self.rng.uniform(0, cfg.heartbeat_interval))
-        # Silent: surfaces at the next heat-map review (§5.1).
-        return float(self.rng.uniform(0.2, 1.0)) * cfg.silent_fault_detection_time
 
     def replacement_overhead(self, needed: int, spare_count: Optional[int]) -> float:
         """Replacement wall time given spare availability.
@@ -565,7 +570,10 @@ class ProductionRun:
             accrue(event.time - wall)
             wall = event.time
             record_loss()
-            detect = self.detection_time(event)
+            detect = detection_time(
+                event, cfg.heartbeat_interval, cfg.nccl_hang_timeout,
+                cfg.silent_fault_detection_time, self.rng,
+            )
             if event.kind.manifestation is Manifestation.SILENT:
                 # Training limps on until the heat-map review: the slowest
                 # participant gates the whole synchronous job.

@@ -169,9 +169,10 @@ def chaos_smoke(seeds: Sequence[int] = (0, 1, 2), weeks: float = 1.0) -> List[di
 
     from ..hardware.cluster import Cluster as _Cluster
     from ..model import GPT_175B
+    from ..network.topology import Topology
     from ..parallel.plan import plan_for_gpus
     from .checkpoint import FLAKY_HDFS, CheckpointPlanner
-    from .domains import CorrelatedFaultInjector, DomainTopology
+    from .domains import CorrelatedFaultInjector
     from .driver import ProductionRun
 
     summaries: List[dict] = []
@@ -183,7 +184,7 @@ def chaos_smoke(seeds: Sequence[int] = (0, 1, 2), weeks: float = 1.0) -> List[di
             plan = plan_for_gpus(n_nodes * 8, tp=8, pp=8, vpp=2)
             injector = CorrelatedFaultInjector(
                 n_nodes=n_nodes,
-                topology=DomainTopology(n_nodes=n_nodes, nodes_per_rack=4, nodes_per_pod=16),
+                topology=Topology(n_nodes=n_nodes, nodes_per_rack=4, nodes_per_pod=16),
                 rng=np.random.default_rng(seed),
                 rate_multiplier=20.0,  # compress weeks of faults into the horizon
             )

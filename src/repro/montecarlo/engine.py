@@ -40,11 +40,12 @@ import numpy as np
 from ..exec.executor import run_tasks
 from ..exec.memo import PersistentMemo
 from ..fault.checkpoint import FLAKY_HDFS, CheckpointPlanner
-from ..fault.domains import CorrelatedFaultInjector, DomainTopology
+from ..fault.domains import CorrelatedFaultInjector
 from ..fault.driver import ProductionRun, ProductionRunConfig
 from ..fault.faults import SAMPLERS
 from ..hardware.cluster import Cluster
 from ..model import GPT_175B
+from ..network.topology import Topology
 from ..observability.telemetry import PercentileDigest
 from ..parallel.plan import plan_for_gpus
 from ..scheduler.scenarios import run_policy
@@ -130,7 +131,7 @@ def _chaos_fixtures(spec: CampaignSpec, share: bool) -> Tuple:
     )
     planner = CheckpointPlanner(model=_MODELS[spec.model], plan=plan)
     cluster = Cluster.build(n_nodes=spec.n_nodes, n_spares=spec.spares)
-    topology = DomainTopology(
+    topology = Topology(
         n_nodes=spec.n_nodes,
         nodes_per_rack=spec.nodes_per_rack,
         nodes_per_pod=spec.nodes_per_pod,

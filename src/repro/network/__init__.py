@@ -15,14 +15,13 @@ from .flow import (
     IncrementalMaxMinSolver,
     TrafficMatrix,
     max_min_fair_rates,
-    max_min_fair_rates_reference,
     transfer_time,
 )
 from .link import DuplexLink, Link
 from .pfc import PfcState
 from .routing import ecmp_choice, hash_flows_onto_uplinks, max_uplink_load
 from .switch import TOMAHAWK4, Switch, SwitchSpec, agg_role, spine_role, tor_role
-from .topology import ClosFabric, shared_fabric
+from .topology import ClosFabric, Topology, shared_fabric
 from .transfers import Transfer, TransferEngine, execute_transfers
 from .transport import (
     ADAPTIVE_NIC,
@@ -57,6 +56,7 @@ __all__ = [
     "SwitchSpec",
     "TOMAHAWK4",
     "TUNED_NCCL",
+    "Topology",
     "TrafficMatrix",
     "Transfer",
     "TransferEngine",
@@ -70,7 +70,6 @@ __all__ = [
     "flap_statistics",
     "hash_flows_onto_uplinks",
     "max_min_fair_rates",
-    "max_min_fair_rates_reference",
     "max_uplink_load",
     "port_split_benefit",
     "shared_fabric",

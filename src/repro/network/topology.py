@@ -14,10 +14,16 @@ The fabric mirrors the paper's datacenter network:
 
 Rail-aligned traffic (GPU ``i`` talks to GPU ``i`` elsewhere, as NCCL
 rings do) stays on one rail: two hops inside a pod, six hops across pods.
+
+:class:`Topology` is the one node→pod/rack map of this layout.  Analytic
+pricing, placement and the fault domains use it alone; only flow-level
+code (the fabric backend, validation, the ring runtime) builds a
+:class:`ClosFabric`, which reads its pods from the same value.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -25,6 +31,84 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .link import Link
 from .routing import ecmp_choice
 from .switch import Switch, SwitchRole, agg_role, spine_role, tor_role
+
+
+@dataclass(frozen=True)
+class Topology:
+    """Maps node indices onto pods (one ToR set each) and racks.
+
+    Racks of ``nodes_per_rack`` servers share power; pods of
+    ``nodes_per_pod`` servers share their ToR switches.  Racks tile pods
+    exactly, so a rack never straddles two pods.
+    """
+
+    n_nodes: int
+    nodes_per_pod: int = 64
+    nodes_per_rack: int = 8
+
+    def __post_init__(self) -> None:
+        if self.n_nodes < 1:
+            raise ValueError("topology needs at least one node")
+        if self.nodes_per_rack < 1 or self.nodes_per_pod < 1:
+            raise ValueError("rack and pod sizes must be positive")
+        if self.nodes_per_pod % self.nodes_per_rack != 0:
+            raise ValueError("racks must tile pods exactly")
+
+    @classmethod
+    def for_pods(cls, n_nodes: int, nodes_per_pod: int = 64) -> "Topology":
+        """The layout a :class:`ClosFabric` of this size implies: racks of
+        8 servers (the whole pod when smaller), shrunk to a common
+        divisor when 8 does not tile the pod."""
+        rack = math.gcd(min(8, nodes_per_pod), nodes_per_pod)
+        return cls(n_nodes, nodes_per_pod, rack)
+
+    @property
+    def n_racks(self) -> int:
+        return -(-self.n_nodes // self.nodes_per_rack)
+
+    @property
+    def n_pods(self) -> int:
+        return -(-self.n_nodes // self.nodes_per_pod)
+
+    def rack_of(self, node: int) -> int:
+        self._check(node)
+        return node // self.nodes_per_rack
+
+    def pod_of(self, node: int) -> int:
+        self._check(node)
+        return node // self.nodes_per_pod
+
+    def nodes_in_rack(self, rack: int) -> List[int]:
+        if not 0 <= rack < self.n_racks:
+            raise ValueError(f"rack {rack} outside 0..{self.n_racks - 1}")
+        start = rack * self.nodes_per_rack
+        return list(range(start, min(start + self.nodes_per_rack, self.n_nodes)))
+
+    def nodes_in_pod(self, pod: int) -> List[int]:
+        """All node indices fronted by pod ``pod``'s ToR set — the blast
+        radius of a ToR-switch or leaf-link fault."""
+        if not 0 <= pod < self.n_pods:
+            raise ValueError(f"pod {pod} outside 0..{self.n_pods - 1}")
+        start = pod * self.nodes_per_pod
+        return list(range(start, min(start + self.nodes_per_pod, self.n_nodes)))
+
+    def group_for(self, scope: str, index: int) -> List[int]:
+        if scope == "rack":
+            return self.nodes_in_rack(index)
+        if scope == "pod":
+            return self.nodes_in_pod(index)
+        raise ValueError(f"unknown scope {scope!r}")
+
+    def n_domains(self, scope: str) -> int:
+        if scope == "rack":
+            return self.n_racks
+        if scope == "pod":
+            return self.n_pods
+        raise ValueError(f"unknown scope {scope!r}")
+
+    def _check(self, node: int) -> None:
+        if not 0 <= node < self.n_nodes:
+            raise ValueError(f"node {node} outside topology of {self.n_nodes}")
 
 
 @dataclass
@@ -45,12 +129,15 @@ class ClosFabric:
     links: Dict[Tuple[str, str], Link] = field(default_factory=dict)
     # Parallel links between switch pairs for ECMP: (src, dst) -> [Link].
     parallel_links: Dict[Tuple[str, str], List[Link]] = field(default_factory=dict)
+    # The node→pod/rack map; every pod lookup goes through it.
+    topology: Topology = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError("fabric needs at least one node")
         if self.rails < 1 or self.nodes_per_pod < 1:
             raise ValueError("rails and nodes_per_pod must be positive")
+        self.topology = Topology.for_pods(self.n_nodes, self.nodes_per_pod)
         self._tor = tor_role(split_downlinks=self.split_tor_downlinks)
         self._agg = agg_role()
         self._spine = spine_role()
@@ -90,19 +177,12 @@ class ClosFabric:
 
     # -- construction -----------------------------------------------------
 
-    @property
-    def n_pods(self) -> int:
-        return -(-self.n_nodes // self.nodes_per_pod)
-
-    def pod_of(self, node: int) -> int:
-        self._check_node(node)
-        return node // self.nodes_per_pod
-
     def tor_name(self, pod: int, rail: int) -> str:
         return f"tor{pod}.{rail}"
 
     def _build(self) -> None:
-        for pod in range(self.n_pods):
+        n_pods = self.topology.n_pods
+        for pod in range(n_pods):
             for rail in range(self.rails):
                 self._add_switch(self.tor_name(pod, rail), self._tor)
             for a in range(self.aggs_per_pod):
@@ -111,12 +191,12 @@ class ClosFabric:
             self._add_switch(f"spine{s}", self._spine)
 
         for node in range(self.n_nodes):
-            pod = node // self.nodes_per_pod
+            pod = self.topology.pod_of(node)
             for rail in range(self.rails):
                 tor = self.tor_name(pod, rail)
                 self._add_duplex(f"node{node}.nic{rail}", tor, self.nic_rate, 1e-6)
 
-        for pod in range(self.n_pods):
+        for pod in range(n_pods):
             for rail in range(self.rails):
                 tor = self.tor_name(pod, rail)
                 for a in range(self.aggs_per_pod):
@@ -147,10 +227,6 @@ class ClosFabric:
             self.parallel_links.setdefault((src, dst), []).append(link)
 
     # -- queries ------------------------------------------------------------
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.n_nodes:
-            raise ValueError(f"node {node} outside fabric of {self.n_nodes}")
 
     def fingerprint(self) -> Tuple:
         """Hashable identity of the built fabric, for memoization keys.
@@ -217,27 +293,11 @@ class ClosFabric:
             down,
         )
 
-    def same_tor(self, a: int, b: int) -> bool:
-        """Whether two nodes share their ToR switch set (same pod)."""
-        return self.pod_of(a) == self.pod_of(b)
-
-    def nodes_in_pod(self, pod: int) -> List[int]:
-        """All node indices fronted by pod ``pod``'s ToR set.
-
-        This is the blast radius of a ToR-switch or leaf-link fault: the
-        correlated fault domains of :mod:`repro.fault.domains` map onto
-        these groups.
-        """
-        if not 0 <= pod < self.n_pods:
-            raise ValueError(f"pod {pod} outside 0..{self.n_pods - 1}")
-        start = pod * self.nodes_per_pod
-        return list(range(start, min(start + self.nodes_per_pod, self.n_nodes)))
-
     def hops(self, src: int, dst: int) -> int:
         """Number of links a rail-aligned packet crosses."""
         if src == dst:
             return 0
-        if self.same_tor(src, dst):
+        if self.topology.pod_of(src) == self.topology.pod_of(dst):
             return 2  # nic -> tor -> nic
         return 6  # nic -> tor -> agg -> spine -> agg -> tor -> nic
 
@@ -249,13 +309,11 @@ class ClosFabric:
 
     def path(self, src: int, dst: int, rail: int, flow_id: int = 0) -> List[Link]:
         """ECMP-resolved link path for a rail-aligned flow."""
-        self._check_node(src)
-        self._check_node(dst)
+        src_pod, dst_pod = self.topology.pod_of(src), self.topology.pod_of(dst)
         if not 0 <= rail < self.rails:
             raise ValueError(f"rail {rail} outside 0..{self.rails - 1}")
         if src == dst:
             return []
-        src_pod, dst_pod = self.pod_of(src), self.pod_of(dst)
         src_nic = f"node{src}.nic{rail}"
         dst_nic = f"node{dst}.nic{rail}"
         src_tor = self.tor_name(src_pod, rail)
@@ -306,10 +364,10 @@ def shared_fabric(
     1,536 nodes — which dominated plan search when every candidate's
     comm model rebuilt its own copy.  Identically-configured fabrics
     are immutable for pricing purposes, so read-only consumers
-    (``build_comm_model``, ``validation_report``) share one instance
-    per configuration, interned in the ``"clos_fabric"`` memo cache
-    (hit/miss counters surface in sweep stats; LRU-bounded so scale
-    sweeps don't pin every size in memory).
+    (fabric-backed ``build_comm_model``, ``validation_report``) share
+    one instance per configuration, interned in the ``"clos_fabric"``
+    memo cache (hit/miss counters surface in sweep stats; LRU-bounded
+    so scale sweeps don't pin every size in memory).
 
     Callers that intend to *degrade* links must build a private
     ``ClosFabric`` instead — flapping a shared instance would leak the

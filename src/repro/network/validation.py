@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .ecmp import port_split_benefit
-from .topology import ClosFabric, shared_fabric
+from .topology import Topology, shared_fabric
 
 # 0.90, kept literal here: importing repro.collectives at module scope
 # would close an import cycle (collectives.fabric imports repro.network
@@ -81,17 +81,17 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _cross_pod_nodes(fabric: ClosFabric, group_size: int) -> Tuple[int, ...]:
+def _cross_pod_nodes(topology: Topology, group_size: int) -> Tuple[int, ...]:
     """A maximally-spread placement: consecutive ranks alternate pods."""
+    n_pods = topology.n_pods
     nodes = tuple(
-        (i % fabric.n_pods) * fabric.nodes_per_pod + i // fabric.n_pods
-        for i in range(group_size)
+        (i % n_pods) * topology.nodes_per_pod + i // n_pods for i in range(group_size)
     )
     for node in nodes:
-        if node >= fabric.n_nodes:
+        if node >= topology.n_nodes:
             raise ValueError(
                 f"group of {group_size} does not fit a cross-pod placement "
-                f"on {fabric.n_nodes} nodes / {fabric.n_pods} pods"
+                f"on {topology.n_nodes} nodes / {n_pods} pods"
             )
     return nodes
 
@@ -133,10 +133,10 @@ def validation_report(
     # Interned: at the paper's 12,288-GPU scale (1,536 nodes, ~49k
     # links) rebuilding the fabric would dwarf the pricing itself.
     fabric = shared_fabric(n_nodes=n_nodes, nodes_per_pod=nodes_per_pod)
-    if fabric.n_pods < 2:
+    if fabric.topology.n_pods < 2:
         raise ValueError("need >= 2 pods for the cross-pod placement")
     same_tor = tuple(range(group_size))
-    cross_pod = _cross_pod_nodes(fabric, group_size)
+    cross_pod = _cross_pod_nodes(fabric.topology, group_size)
     bandwidth = fabric.nic_rate * cc_efficiency
 
     deltas = []

@@ -1,7 +1,7 @@
 """Topology-aware placement of concurrent jobs onto one shared cluster.
 
 Placement works at the level of *node indices* in the shared
-:class:`~repro.fault.domains.DomainTopology` (the same index space the
+:class:`~repro.network.topology.Topology` (the same index space the
 correlated fault injector samples blast radii from).  The placer packs a
 job onto the candidate window spanning the fewest pods, then the fewest
 racks, then the lowest index — minimizing the cross-pod ECMP traffic the
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set
 
 from ..exec.memo import memoized
-from ..fault.domains import DomainTopology
+from ..network.topology import Topology
 
 
 class PlacementError(RuntimeError):
@@ -43,7 +43,7 @@ def _pod_flow_throughput(n_flows: int, uplinks: int, trials: int = 50) -> float:
 class PlacementMap:
     """Who owns which node index, and which indices are dead."""
 
-    topology: DomainTopology
+    topology: Topology
     owner: Dict[int, str] = field(default_factory=dict)
     dead: Set[int] = field(default_factory=set)
 

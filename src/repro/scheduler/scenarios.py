@@ -33,11 +33,11 @@ from ..fault.domains import (
     RACK_POWER_FAULT,
     TOR_SWITCH_FAULT,
     CorrelatedFaultInjector,
-    DomainTopology,
     FaultDomain,
 )
 from ..fault.faults import CUDA_ERROR, NCCL_HANG, NIC_DEGRADED
 from ..hardware.cluster import Cluster
+from ..network.topology import Topology
 from ..parallel.plan import plan_for_gpus
 from .job import JobSpec
 from .scheduler import ClusterScheduler, MultiJobReport, SchedulerConfig
@@ -47,6 +47,7 @@ from .scheduler import ClusterScheduler, MultiJobReport, SchedulerConfig
 # machine and rack 1 (nodes 4-7) straddles the two jobs.
 TESTBED_NODES = 12
 TESTBED_SPARES = 1
+TESTBED_TOPOLOGY = Topology(n_nodes=TESTBED_NODES, nodes_per_pod=8, nodes_per_rack=4)
 
 # Compressed fault rates: a few correlated events plus the odd node
 # fault per simulated day, so every seed exercises the arbitration path
@@ -85,13 +86,10 @@ def build_scheduler(
     hub: Optional[object] = None,
     config: Optional[SchedulerConfig] = None,
 ) -> ClusterScheduler:
-    topology = DomainTopology(
-        n_nodes=TESTBED_NODES, nodes_per_rack=4, nodes_per_pod=8
-    )
     cluster = Cluster.build(n_nodes=TESTBED_NODES, n_spares=TESTBED_SPARES)
     return ClusterScheduler(
         cluster=cluster,
-        topology=topology,
+        topology=TESTBED_TOPOLOGY,
         jobs=testbed_jobs(),
         policy=policy,
         config=config,
@@ -103,9 +101,7 @@ def build_scheduler(
 def build_injector(seed: int, sampler: str = "auto") -> CorrelatedFaultInjector:
     return CorrelatedFaultInjector(
         n_nodes=TESTBED_NODES,
-        topology=DomainTopology(
-            n_nodes=TESTBED_NODES, nodes_per_rack=4, nodes_per_pod=8
-        ),
+        topology=TESTBED_TOPOLOGY,
         domains=list(CHAOS_DOMAINS),
         rng=np.random.default_rng(seed),
         catalog=list(CHAOS_CATALOG),

@@ -37,10 +37,11 @@ import numpy as np
 
 from ..collectives.init import group_init_time
 from ..collectives.kvstore import REDIS_STORE
-from ..fault.domains import DomainTopology
+from ..fault.driver import detection_time
 from ..fault.elastic import ElasticReplanner
 from ..fault.faults import FaultEvent, FaultInjector, Manifestation
 from ..hardware.cluster import Cluster
+from ..network.topology import Topology
 from ..parallel.plan import ParallelPlan
 from .job import JobSpec, JobState, JobStatus
 from .placement import PlacementError, PlacementMap
@@ -179,7 +180,7 @@ class ClusterScheduler:
     def __init__(
         self,
         cluster: Cluster,
-        topology: DomainTopology,
+        topology: Topology,
         jobs: Sequence[JobSpec],
         policy: str = "priority",
         config: Optional[SchedulerConfig] = None,
@@ -282,16 +283,6 @@ class ClusterScheduler:
 
     # -- per-incident latencies ----------------------------------------------
 
-    def _detect_time(self, event: FaultEvent) -> float:
-        cfg = self.config
-        if event.kind.manifestation is Manifestation.EXPLICIT:
-            return float(self.rng.uniform(0, cfg.heartbeat_interval)) + 2.0
-        if event.kind.manifestation is Manifestation.HANG:
-            return cfg.nccl_hang_timeout + float(
-                self.rng.uniform(0, cfg.heartbeat_interval)
-            )
-        return float(self.rng.uniform(0.2, 1.0)) * cfg.silent_fault_detection_time
-
     def _init_time(self, plan: ParallelPlan) -> float:
         return group_init_time(plan, REDIS_STORE, ordered=True).total
 
@@ -332,7 +323,11 @@ class ClusterScheduler:
 
     def _on_fault(self, t: float, event: FaultEvent) -> None:
         hit_by_job = self.placement.jobs_hit(event.affected_nodes)
-        detect = self._detect_time(event)
+        cfg = self.config
+        detect = detection_time(
+            event, cfg.heartbeat_interval, cfg.nccl_hang_timeout,
+            cfg.silent_fault_detection_time, self.rng,
+        )
         if event.kind.needs_replacement:
             self._on_replacement_fault(t, event, hit_by_job, detect)
         elif event.kind.manifestation is Manifestation.HANG:

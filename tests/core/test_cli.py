@@ -139,3 +139,20 @@ def test_compare_command_fabric_backend(capsys):
     argv = ["compare", "--gpus", "256", "--batch", "768", "--backend", "fabric"]
     assert main(argv) == 0
     assert "speedup" in capsys.readouterr().out
+
+
+def test_compare_rejects_indivisible_gpus_in_one_line(capsys):
+    assert main(["compare", "--gpus", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "repro compare: error: 100 GPUs not divisible by tp*pp=64"
+    ]
+
+
+def test_trace_reports_missing_file_in_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["trace", str(missing)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("repro trace: error: ") and str(missing) in err[0]

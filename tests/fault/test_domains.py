@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fault import FaultInjector
 from repro.fault.domains import (
@@ -10,18 +12,17 @@ from repro.fault.domains import (
     RACK_POWER_FAULT,
     TOR_SWITCH_FAULT,
     CorrelatedFaultInjector,
-    DomainTopology,
     FaultDomain,
 )
 from repro.fault.faults import Manifestation
-from repro.network.topology import ClosFabric
+from repro.network.topology import ClosFabric, Topology
 
 
 # -- topology mapping ---------------------------------------------------------
 
 
 def test_domain_topology_rack_and_pod_membership():
-    topo = DomainTopology(n_nodes=100, nodes_per_rack=8, nodes_per_pod=32)
+    topo = Topology(n_nodes=100, nodes_per_rack=8, nodes_per_pod=32)
     assert topo.n_racks == 13  # last rack is partial
     assert topo.n_pods == 4
     assert topo.rack_of(0) == 0 and topo.rack_of(15) == 1
@@ -33,23 +34,37 @@ def test_domain_topology_rack_and_pod_membership():
 
 def test_domain_topology_validation():
     with pytest.raises(ValueError):
-        DomainTopology(n_nodes=0)
+        Topology(n_nodes=0)
     with pytest.raises(ValueError):
-        DomainTopology(n_nodes=8, nodes_per_rack=3, nodes_per_pod=8)  # racks must tile pods
-    topo = DomainTopology(n_nodes=64)
+        Topology(n_nodes=8, nodes_per_rack=3, nodes_per_pod=8)  # racks must tile pods
+    topo = Topology(n_nodes=64)
     with pytest.raises(ValueError):
         topo.rack_of(64)
     with pytest.raises(ValueError):
         topo.nodes_in_pod(99)
 
 
-def test_domain_topology_from_fabric_matches_pods():
-    fabric = ClosFabric(n_nodes=96, nodes_per_pod=32)
-    topo = DomainTopology.from_fabric(fabric, nodes_per_rack=8)
-    assert topo.n_pods == fabric.n_pods
-    for node in (0, 31, 32, 95):
-        assert topo.pod_of(node) == fabric.pod_of(node)
-    assert fabric.nodes_in_pod(1) == topo.nodes_in_pod(1)
+@settings(max_examples=60, deadline=None)
+@given(
+    n_nodes=st.integers(1, 200),
+    nodes_per_pod=st.integers(1, 70),
+    pairs=st.lists(st.tuples(st.integers(0, 199), st.integers(0, 199)), max_size=20),
+)
+def test_topology_pods_agree_with_fabric_hops(n_nodes, nodes_per_pod, pairs):
+    # One rail and one uplink per layer: hop counts depend on pods alone.
+    fabric = ClosFabric(
+        n_nodes=n_nodes, nodes_per_pod=nodes_per_pod, rails=1, aggs_per_pod=1,
+        n_spines=1, tor_uplinks_per_agg=1, agg_uplinks_per_spine=1,
+    )
+    topo = fabric.topology
+    assert topo == Topology.for_pods(n_nodes, nodes_per_pod)
+    for a, b in pairs:
+        a, b = a % n_nodes, b % n_nodes
+        if a != b:
+            assert (fabric.hops(a, b) == 2) == (topo.pod_of(a) == topo.pod_of(b))
+    pods = [topo.nodes_in_pod(pod) for pod in range(topo.n_pods)]
+    assert [node for pod in pods for node in pod] == list(range(n_nodes))
+    assert all(topo.pod_of(node) == pod for pod, nodes in enumerate(pods) for node in nodes)
 
 
 def test_domain_kinds_declare_degraded_semantics():
@@ -65,7 +80,7 @@ def test_domain_kinds_declare_degraded_semantics():
 
 
 def make_injector(seed, rate_multiplier=50.0):
-    topo = DomainTopology(n_nodes=64, nodes_per_rack=4, nodes_per_pod=16)
+    topo = Topology(n_nodes=64, nodes_per_rack=4, nodes_per_pod=16)
     return CorrelatedFaultInjector(
         n_nodes=64,
         topology=topo,
@@ -112,7 +127,7 @@ def test_single_node_events_still_present():
 
 def test_injector_topology_size_mismatch_rejected():
     with pytest.raises(ValueError):
-        CorrelatedFaultInjector(n_nodes=32, topology=DomainTopology(n_nodes=64))
+        CorrelatedFaultInjector(n_nodes=32, topology=Topology(n_nodes=64))
 
 
 def test_fault_domain_validation():

@@ -9,15 +9,12 @@ from repro.fault import (
     ProductionRun,
     ProductionRunConfig,
 )
-from repro.fault.domains import (
-    RACK_POWER_FAULT,
-    CorrelatedFaultInjector,
-    DomainTopology,
-)
+from repro.fault.domains import RACK_POWER_FAULT, CorrelatedFaultInjector
 from repro.fault.elastic import ElasticReplanner
 from repro.fault.scenarios import run_correlated, spare_exhaustion_scenario
 from repro.hardware import Cluster
 from repro.model import GPT_175B
+from repro.network.topology import Topology
 from repro.parallel import plan_for_gpus
 from repro.parallel.tuner import shrink_dp_plans
 
@@ -166,7 +163,7 @@ def test_degraded_run_is_deterministic():
     def build():
         injector = CorrelatedFaultInjector(
             n_nodes=n_nodes,
-            topology=DomainTopology(n_nodes=n_nodes, nodes_per_rack=4, nodes_per_pod=16),
+            topology=Topology(n_nodes=n_nodes, nodes_per_rack=4, nodes_per_pod=16),
             rng=np.random.default_rng(5),
             rate_multiplier=40.0,
         )

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.fault.domains import CorrelatedFaultInjector, DomainTopology
+from repro.fault.domains import CorrelatedFaultInjector
 from repro.fault.faults import FaultInjector, event_order
+from repro.network.topology import Topology
 
 WEEK = 7 * 86400.0
 
@@ -33,7 +34,7 @@ def test_node_injector_matches_oracle_across_seed_grid():
 
 
 def test_correlated_injector_matches_oracle_across_seed_grid():
-    topology = DomainTopology(n_nodes=128, nodes_per_rack=4, nodes_per_pod=16)
+    topology = Topology(n_nodes=128, nodes_per_rack=4, nodes_per_pod=16)
     for seed in range(50):
         ref = CorrelatedFaultInjector(
             n_nodes=128,

@@ -11,9 +11,9 @@ from repro.network import (
     IncrementalMaxMinSolver,
     Link,
     max_min_fair_rates,
-    max_min_fair_rates_reference,
     transfer_time,
 )
+from repro.network.flow import max_min_fair_rates_reference
 
 
 def _links(bandwidths):

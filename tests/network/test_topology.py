@@ -37,9 +37,9 @@ def test_agg_role_symmetric():
 
 def test_fabric_pods_and_tors():
     fabric = make_fabric(n_nodes=128, nodes_per_pod=64, rails=8)
-    assert fabric.n_pods == 2
-    assert fabric.pod_of(0) == 0
-    assert fabric.pod_of(64) == 1
+    assert fabric.topology.n_pods == 2
+    assert fabric.topology.pod_of(0) == 0
+    assert fabric.topology.pod_of(64) == 1
     tors = [s for s in fabric.switches.values() if s.layer == "tor"]
     assert len(tors) == 2 * 8
 
@@ -51,9 +51,9 @@ def test_nic_links_at_200g():
 
 
 def test_same_tor_within_pod():
-    fabric = make_fabric(n_nodes=128)
-    assert fabric.same_tor(0, 63)
-    assert not fabric.same_tor(0, 64)
+    topology = make_fabric(n_nodes=128).topology
+    assert topology.pod_of(0) == topology.pod_of(63)
+    assert topology.pod_of(0) != topology.pod_of(64)
 
 
 def test_hop_counts():

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.fault.domains import DomainTopology
+from repro.network.topology import Topology
 from repro.scheduler.placement import PlacementError, PlacementMap
 
 
 def make_map(n_nodes=16, nodes_per_rack=4, nodes_per_pod=8):
     return PlacementMap(
-        topology=DomainTopology(
+        topology=Topology(
             n_nodes=n_nodes, nodes_per_rack=nodes_per_rack, nodes_per_pod=nodes_per_pod
         )
     )

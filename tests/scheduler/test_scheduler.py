@@ -9,9 +9,10 @@ re-run the seeded chaos gate end to end.
 import numpy as np
 import pytest
 
-from repro.fault.domains import RACK_POWER_FAULT, DomainTopology
+from repro.fault.domains import RACK_POWER_FAULT
 from repro.fault.faults import FaultEvent
 from repro.hardware.cluster import Cluster
+from repro.network.topology import Topology
 from repro.observability.telemetry import SUBSYSTEM_LANES, TelemetryHub
 from repro.parallel.plan import plan_for_gpus
 from repro.scheduler import (
@@ -46,7 +47,7 @@ def rack_fault(t, nodes, rack):
 
 def make_scheduler(policy="priority", n_spares=1, seed=0, hub=None):
     """Two tp=8 tenants filling 12 nodes; rack 1 (4-7) straddles both."""
-    topology = DomainTopology(n_nodes=12, nodes_per_rack=4, nodes_per_pod=8)
+    topology = Topology(n_nodes=12, nodes_per_rack=4, nodes_per_pod=8)
     cluster = Cluster.build(n_nodes=12, n_spares=n_spares)
     jobs = (
         JobSpec(name="prod", plan=plan_for_gpus(48, tp=8, pp=1),
