@@ -30,7 +30,7 @@ import time
 
 from repro.exec.memo import clear_caches
 from repro.model import GPT_175B
-from repro.network.flow import Flow, max_min_fair_rates
+from repro.network.flow import Flow, max_min_fair_rates, max_min_fair_rates_reference
 from repro.network.topology import ClosFabric
 from repro.parallel.search import search_plans
 
@@ -57,16 +57,16 @@ def ring_flows(fabric: ClosFabric, n_flows: int) -> list:
     return flows
 
 
-def _time_solver(fabric: ClosFabric, n_flows: int, solver: str):
+def _time_solver(fabric: ClosFabric, n_flows: int, solve):
     flows = ring_flows(fabric, n_flows)
     t0 = time.perf_counter()
-    rates = max_min_fair_rates(flows, solver=solver)
+    rates = solve(flows, fabric.links)
     return rates, time.perf_counter() - t0
 
 
 def bench_solver(fabric: ClosFabric, n_flows: int) -> dict:
-    ref_rates, ref_s = _time_solver(fabric, n_flows, "reference")
-    vec_rates, vec_s = _time_solver(fabric, n_flows, "vectorized")
+    ref_rates, ref_s = _time_solver(fabric, n_flows, max_min_fair_rates_reference)
+    vec_rates, vec_s = _time_solver(fabric, n_flows, max_min_fair_rates)
     worst = 0.0
     for fid, ref in ref_rates.items():
         vec = vec_rates[fid]

@@ -31,20 +31,20 @@ def compute_validation():
 
     # Transfer engine: a single point-to-point at line rate.
     sim = Simulator()
-    engine = TransferEngine(sim)
+    engine = TransferEngine(sim, fabric.links)
     path = fabric.path(0, 1, rail=0, flow_id=1)
     transfer = engine.submit(path, size=2e9)
     engine.run_to_completion()
     p2p = (2e9 / (200 * Gbps), transfer.finished_at)
 
     # Degraded link: execution must exceed the clean analytic time.
-    link = fabric.links[("node1.nic0", "tor0.0")]
-    original = link.bandwidth
-    link.bandwidth = original / 3
+    (link,) = fabric.parallel_links[("node1.nic0", "tor0.0")]
+    original = fabric.links.bandwidth[link]
+    fabric.links.bandwidth[link] = original / 3
     degraded = RingCollectiveRuntime(fabric, node_of_rank=[0, 1, 2, 3]).run(
         "all_reduce", 2e9
     ).total_time
-    link.bandwidth = original
+    fabric.links.bandwidth[link] = original
     clean_analytic = ring_all_reduce(2e9, 4, 200 * Gbps)
     return results, p2p, (clean_analytic, degraded)
 

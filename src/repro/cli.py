@@ -316,7 +316,6 @@ def cmd_tune(args) -> int:
         top_k=args.top,
         gpus_per_node=args.gpus_per_node,
         max_micro_batch=args.max_micro_batch,
-        max_candidates=args.max_candidates,
         workers=args.workers,
         hub=hub,
         cache=cache,
@@ -327,11 +326,6 @@ def cmd_tune(args) -> int:
         print(f"#{i}  {result.describe()}")
     print()
     print(stats.describe())
-    if stats.capped:
-        print(
-            f"WARNING: --max-candidates dropped {stats.capped} feasible "
-            "candidates; the leaderboard may miss the true optimum."
-        )
     if cache is not None:
         print(f"persistent cache: {len(cache)} priced points at {cache.path}")
     _save_hub(hub, args)
@@ -357,8 +351,6 @@ def cmd_mc(args) -> int:
         seeds=range(args.seeds),
         weeks=args.weeks,
         workers=args.workers,
-        sampler=args.sampler,
-        reference=args.reference,
         spec=spec,
         cache=cache,
     )
@@ -366,8 +358,7 @@ def cmd_mc(args) -> int:
     print(result.describe())
     print()
     mode = "serial" if args.workers == 0 else f"{args.workers} workers"
-    path = "reference" if args.reference else "optimized"
-    print(f"{args.seeds} seeds in {elapsed:.2f}s ({mode}, {path} path)")
+    print(f"{args.seeds} seeds in {elapsed:.2f}s ({mode})")
     if result.stats is not None and result.stats.persistent_hits:
         print(f"{result.stats.persistent_hits} seeds served from the persistent cache")
     if cache is not None:
@@ -551,15 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chaos-campaign cluster size in nodes (default 512)")
     p.add_argument("--policy", choices=["priority", "fifo"], default="priority",
                    help="scheduler-campaign arbitration policy")
-    p.add_argument("--sampler", choices=["auto", "vectorized", "reference"],
-                   default="auto",
-                   help="fault sampler: batched numpy draws (auto/vectorized) "
-                        "or the per-event oracle loop (reference); both "
-                        "produce identical events per seed")
-    p.add_argument("--reference", action="store_true",
-                   help="run the naive baseline end to end: per-event "
-                        "sampling and per-seed fixture rebuilds (what the "
-                        "benchmark compares against)")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="persist per-seed results across runs in "
                         "DIR/mc-campaign.pkl (versioned, safe to delete)")
@@ -624,9 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest micro-batch size searched")
     p.add_argument("--workers", type=int, default=0,
                    help="worker processes for candidate evaluation (0 = serial)")
-    p.add_argument("--max-candidates", type=int, default=None,
-                   help="legacy cap on the candidate list (warns when it drops "
-                        "candidates; the default searches the full space exactly)")
     p.add_argument("--exhaustive", action="store_true",
                    help="price every feasible candidate (disables pruning; "
                         "useful to verify the pruned search)")

@@ -26,11 +26,11 @@ hops, ECMP link sharing, and PFC penalties on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..exec.memo import get_cache
 from ..network.flow import Flow, max_min_fair_rates
-from ..network.link import Link
+from ..network.link import LinkTable
 from ..network.topology import ClosFabric
 from .primitives import COST_BACKENDS, DEFAULT_CC_EFFICIENCY, validate_backend
 
@@ -130,7 +130,8 @@ class FabricCollectiveCost:
 
 
 def routed_step_cost(
-    paths: Sequence[Sequence[Link]],
+    paths: Sequence[Sequence[int]],
+    links: LinkTable,
     segment_bytes: float,
     demand: Optional[float] = None,
     software_latency: float = RING_SOFTWARE_LATENCY,
@@ -139,11 +140,12 @@ def routed_step_cost(
 ) -> RoutedStepCost:
     """Completion time of one ring step whose pair transfers use ``paths``.
 
-    Every non-empty path becomes one flow (empty paths are same-host
-    pairs, priced elsewhere as NVLink traffic); flows share links
-    max-min fairly.  ``demand`` caps each flow at its NIC line rate
-    (None = unbounded, the event runtime's historical behaviour — PFC
-    penalties then never apply, since oversubscription is undefined).
+    Paths are link ids into ``links``.  Every non-empty path becomes
+    one flow (empty paths are same-host pairs, priced elsewhere as
+    NVLink traffic); flows share links max-min fairly.  ``demand``
+    caps each flow at its NIC line rate (None = unbounded, the event
+    runtime's historical behaviour — PFC penalties then never apply,
+    since oversubscription is undefined).
     The step ends when the slowest flow finishes.
     """
     if segment_bytes < 0:
@@ -152,15 +154,16 @@ def routed_step_cost(
         raise ValueError("cc_efficiency must be in (0, 1]")
     per_flow_demand = float("inf") if demand is None else demand
     flows = [
-        Flow(flow_id=i, path=list(path), demand=per_flow_demand)
+        Flow(flow_id=i, path=path, demand=per_flow_demand)
         for i, path in enumerate(paths)
         if path
     ]
     if not flows:
         return RoutedStepCost(software_latency, 0, 0, 0.0, 0.0, 0, 0)
-    max_min_fair_rates(flows)
+    max_min_fair_rates(flows, links)
     return price_routed_step(
         flows,
+        links,
         segment_bytes,
         demand=demand,
         software_latency=software_latency,
@@ -171,6 +174,7 @@ def routed_step_cost(
 
 def price_routed_step(
     flows: Sequence[Flow],
+    links: LinkTable,
     segment_bytes: float,
     demand: Optional[float] = None,
     software_latency: float = RING_SOFTWARE_LATENCY,
@@ -179,30 +183,32 @@ def price_routed_step(
 ) -> RoutedStepCost:
     """Step cost of already-solved flows (rates assigned, paths non-empty).
 
-    Split out of :func:`routed_step_cost` so callers that keep a live
-    :class:`~repro.network.flow.IncrementalMaxMinSolver` (the event
-    runtime, which reuses one allocation across identical ring steps)
-    can price steps without re-solving max-min sharing each time.
+    Split out of :func:`routed_step_cost` so the event runtime, which
+    solves one allocation for all of a ring's identical steps, can
+    price them without re-solving max-min sharing.
     """
     if not flows:
         return RoutedStepCost(software_latency, 0, 0, 0.0, 0.0, 0, 0)
 
-    load: Dict[Link, int] = {}
+    load: Dict[int, int] = {}
     for flow in flows:
         for link in flow.path:
             load[link] = load.get(link, 0) + 1
     max_link_load = max(load.values())
+    used = list(load)
+    bandwidth = dict(zip(used, links.bandwidth[used].tolist()))
+    latency = dict(zip(used, links.latency[used].tolist()))
 
     # PFC pauses trigger on the *offered* wire load (what the NICs try
     # to push); the realized per-flow goodput then derates by both the
     # congestion-control efficiency and the pause fraction.
     duration, slowest, paused = 0.0, 0, 0
-    effective: Dict[Link, float] = {}
-    offered: Dict[Link, float] = {}
+    effective: Dict[int, float] = {}
+    offered: Dict[int, float] = {}
     for flow in flows:
         ratio = 0.0
         if demand is not None:
-            ratio = max(load[l] * demand / l.bandwidth for l in flow.path)
+            ratio = max(load[l] * demand / bandwidth[l] for l in flow.path)
         pause = penalty.pause_fraction(ratio) if penalty is not None else 0.0
         if pause > 0.0:
             paused += 1
@@ -211,15 +217,15 @@ def price_routed_step(
             effective[link] = effective.get(link, 0.0) + rate
             if demand is not None:
                 offered[link] = offered.get(link, 0.0) + demand * cc_efficiency * (1.0 - pause)
-        latency = sum(l.latency for l in flow.path) + software_latency
+        delay = sum(latency[l] for l in flow.path) + software_latency
         if pause > 0.0 and penalty is not None:
-            latency += penalty.retransmit_latency
-        t = (segment_bytes / rate if segment_bytes > 0 else 0.0) + latency
+            delay += penalty.retransmit_latency
+        t = (segment_bytes / rate if segment_bytes > 0 else 0.0) + delay
         if t > duration:
             duration, slowest = t, flow.flow_id
-    utilization = max(min(1.0, effective[l] / l.bandwidth) for l in load)
+    utilization = max(min(1.0, effective[l] / bandwidth[l]) for l in load)
     oversubscription = max(
-        (value / link.bandwidth for link, value in offered.items()), default=0.0
+        (value / bandwidth[l] for l, value in offered.items()), default=0.0
     )
     return RoutedStepCost(
         duration=duration,
@@ -257,21 +263,10 @@ class FabricCostModel:
         if self.nic_rate is None:
             self.nic_rate = self.fabric.nic_rate
 
-    def ring_paths(self, nodes: Sequence[int]) -> List[List[Link]]:
-        """ECMP-resolved neighbour-pair paths of the ring over ``nodes``."""
-        n = len(nodes)
-        paths: List[List[Link]] = []
-        for i, src in enumerate(nodes):
-            dst = nodes[(i + 1) % n]
-            if src == dst:
-                paths.append([])
-            else:
-                paths.append(self.fabric.path(src, dst, rail=self.rail, flow_id=i))
-        return paths
-
     def step_cost(self, nodes: Sequence[int], segment_bytes: float) -> RoutedStepCost:
         return routed_step_cost(
-            self.ring_paths(nodes),
+            self.fabric.ring_paths(nodes, self.rail),
+            self.fabric.links,
             segment_bytes,
             demand=self.nic_rate,
             software_latency=self.software_latency,
@@ -331,6 +326,7 @@ class FabricCostModel:
         path = self.fabric.path(src_node, dst_node, rail=self.rail, flow_id=flow_id)
         return routed_step_cost(
             [path],
+            self.fabric.links,
             size,
             demand=self.nic_rate,
             software_latency=self.software_latency,

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..network.flow import Flow, IncrementalMaxMinSolver, max_min_fair_rates
-from ..network.link import Link
+from ..network.flow import Flow, max_min_fair_rates
 from ..network.topology import ClosFabric
 from ..sim import Process, Simulator
 from .fabric import PfcPenaltyModel, price_routed_step
@@ -77,25 +76,13 @@ class RingCollectiveRuntime:
         self.flow_demand = flow_demand
         self.penalty = penalty
 
-    def _step_paths(self) -> List[List[Link]]:
-        """The neighbour-pair link paths used by every ring step."""
-        n = len(self.node_of_rank)
-        paths = []
-        for i in range(n):
-            src = self.node_of_rank[i]
-            dst = self.node_of_rank[(i + 1) % n]
-            if src == dst:
-                paths.append([])  # same host: modelled as instantaneous here
-            else:
-                paths.append(self.fabric.path(src, dst, rail=self.rail, flow_id=i))
-        return paths
-
     def _step_flows(self) -> List[Flow]:
-        """Inter-node flows of one ring step (same-host pairs skipped)."""
+        """Inter-node flows of one ring step (same-host pairs, modelled
+        as instantaneous here, are skipped)."""
         per_flow_demand = float("inf") if self.flow_demand is None else self.flow_demand
         return [
             Flow(flow_id=i, path=path, demand=per_flow_demand)
-            for i, path in enumerate(self._step_paths())
+            for i, path in enumerate(self.fabric.ring_paths(self.node_of_rank, self.rail))
             if path
         ]
 
@@ -137,26 +124,24 @@ class RingCollectiveRuntime:
 
         sim = sim or Simulator()
         start = sim.now
-        # One flow set serves every step: the solver caches the max-min
-        # allocation across the ring's identical steps and re-solves only
-        # if a link flaps mid-collective (link watchers invalidate it).
+        # Every step moves the same segments over the same paths, so one
+        # max-min solve and one step price serve the whole collective.
         flows = self._step_flows()
-        solver = IncrementalMaxMinSolver(flows)
-        segment = size / n
+        max_min_fair_rates(flows, self.fabric.links)
+        cost = price_routed_step(
+            flows,
+            self.fabric.links,
+            size / n,
+            demand=self.flow_demand,
+            software_latency=self.software_latency,
+            cc_efficiency=self.cc_efficiency,
+            penalty=self.penalty,
+        )
         steps: List[RingStepResult] = []
         done = {"t": 0.0}
 
         def driver():
             for step in range(n_steps):
-                solver.solve()
-                cost = price_routed_step(
-                    flows,
-                    segment,
-                    demand=self.flow_demand,
-                    software_latency=self.software_latency,
-                    cc_efficiency=self.cc_efficiency,
-                    penalty=self.penalty,
-                )
                 steps.append(
                     RingStepResult(
                         step,
@@ -243,6 +228,6 @@ def concurrent_rings_time(
             fid += 1
     if not flows:
         return 0.0
-    max_min_fair_rates(flows)
+    max_min_fair_rates(flows, fabric.links)
     segment = size / max(len(r) for r in rings)
-    return max(segment / f.rate + sum(l.latency for l in f.path) for f in flows)
+    return max(segment / f.rate + fabric.links.delay(f.path) for f in flows)

@@ -10,14 +10,8 @@ from .congestion import (
 )
 from .ecmp import ConflictStats, conflict_stats, expected_conflict_stats, port_split_benefit
 from .flapping import FlapEvent, LinkFlapper, flap_downtime_in_window, flap_statistics
-from .flow import (
-    Flow,
-    IncrementalMaxMinSolver,
-    TrafficMatrix,
-    max_min_fair_rates,
-    transfer_time,
-)
-from .link import DuplexLink, Link
+from .flow import Flow, max_min_fair_rates, transfer_time
+from .link import LinkTable
 from .pfc import PfcState
 from .routing import ecmp_choice, hash_flows_onto_uplinks, max_uplink_load
 from .switch import TOMAHAWK4, Switch, SwitchSpec, agg_role, spine_role, tor_role
@@ -41,12 +35,10 @@ __all__ = [
     "CongestionResult",
     "DEFAULT_NCCL",
     "DcqcnControl",
-    "DuplexLink",
     "FlapEvent",
     "Flow",
-    "IncrementalMaxMinSolver",
-    "Link",
     "LinkFlapper",
+    "LinkTable",
     "MegaScaleControl",
     "PfcState",
     "PlacementDelta",
@@ -57,7 +49,6 @@ __all__ = [
     "TOMAHAWK4",
     "TUNED_NCCL",
     "Topology",
-    "TrafficMatrix",
     "Transfer",
     "TransferEngine",
     "ValidationReport",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from ..sim import Process, Simulator
-from .link import DuplexLink
+from .link import LinkTable
 
 
 @dataclass
@@ -28,21 +28,27 @@ class FlapEvent:
 
 @dataclass
 class LinkFlapper:
-    """Drives a link through down/up cycles on the simulation clock.
+    """Drives a duplex link through down/up cycles on the simulation clock.
 
-    With a :class:`~repro.observability.TelemetryHub` as ``hub`` every
-    flap lands as a pair of instant events (``link-down`` / ``link-up``)
-    on the ``network`` lane at the simulated instants they fired.
+    ``link`` is a ``(table, (forward_id, reverse_id))`` pair, and a flap
+    takes both directions down together.  With a
+    :class:`~repro.observability.TelemetryHub` as ``hub`` every flap
+    lands as a pair of instant events (``link-down`` / ``link-up``) on
+    the ``network`` lane at the simulated instants they fired.
     """
 
     sim: Simulator
-    link: DuplexLink
+    link: Tuple[LinkTable, Tuple[int, int]]
     mean_interval: float  # mean seconds between flap starts
     mean_down_time: float  # mean seconds a flap lasts
     rng: object  # numpy Generator
     events: List[FlapEvent] = field(default_factory=list)
     hub: object = None  # optional TelemetryHub
     _proc: Process = field(default=None, repr=False)  # type: ignore[assignment]
+
+    def _set(self, up: bool) -> None:
+        table, ids = self.link
+        table.up[list(ids)] = up
 
     def start(self) -> None:
         self._proc = Process(self.sim, self._run(), name="link-flapper")
@@ -52,12 +58,12 @@ class LinkFlapper:
             wait = float(self.rng.exponential(self.mean_interval))
             yield self.sim.timeout(wait)
             down_at = self.sim.now
-            self.link.set_state(False)
+            self._set(False)
             if self.hub is not None:
                 self.hub.instant("network", "link-down", down_at)
             down_for = float(self.rng.exponential(self.mean_down_time))
             yield self.sim.timeout(down_for)
-            self.link.set_state(True)
+            self._set(True)
             self.events.append(FlapEvent(down_at, self.sim.now))
             if self.hub is not None:
                 self.hub.instant(
@@ -69,8 +75,7 @@ class LinkFlapper:
         """Halt injection; a flap in progress is cut short (link restored)."""
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt("stop")
-        if not self.link.up:
-            self.link.set_state(True)
+        self._set(True)
 
 
 def flap_downtime_in_window(events: List[FlapEvent], start: float, end: float) -> float:

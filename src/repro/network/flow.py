@@ -1,39 +1,35 @@
 """Max-min fair bandwidth allocation (fluid flow model).
 
 Collectives and checkpoint traffic are modelled as sets of flows, each
-traversing a list of links.  The classic water-filling algorithm assigns
-each flow its max-min fair rate; the collective layer then derives
-transfer times from the bottleneck rate.
+traversing a path of link ids into a
+:class:`~repro.network.link.LinkTable`.  The classic water-filling
+algorithm assigns each flow its max-min fair rate; the collective layer
+then derives transfer times from the bottleneck rate.
 
-Two interchangeable solvers compute the same allocation:
+Two solvers compute the same allocation:
 
+* :func:`max_min_fair_rates` — the vectorized numpy water-fill, one
+  per-link flow-count/capacity matrix per saturation level instead of
+  per-flow dict loops, which is what makes ``backend="fabric"`` usable
+  at the paper's 12,288 GPUs.
 * :func:`max_min_fair_rates_reference` — the original per-flow Python
   water-filling, kept as the correctness oracle.
-* the vectorized numpy water-fill (the default behind
-  :func:`max_min_fair_rates`) — one per-link flow-count/capacity matrix
-  per saturation level instead of per-flow dict loops, which is what
-  makes ``backend="fabric"`` usable at the paper's 12,288 GPUs.
 
 The numpy solver replays the reference's arithmetic (same share
 divisions, same flow-major subtraction order, same bottleneck
 tolerance), so the two agree to the last bit on well-conditioned inputs
 and within 1e-9 relative everywhere (property-tested).
-
-:class:`IncrementalMaxMinSolver` keeps the link-indexing structure
-alive across solves: ring steps that reuse one flow configuration pay
-for a single solve, and a step that shifts flows between links updates
-only the touched flows' bookkeeping before the next vectorized
-water-fill.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .link import Link
+from .link import LinkTable
 
 # Relative tolerance deciding whether a link sits at the bottleneck
 # water level (shared by both solvers so they freeze identical batches).
@@ -42,16 +38,17 @@ BOTTLENECK_RTOL = 1e-9
 
 @dataclass
 class Flow:
-    """A unidirectional traffic demand across a fixed link path."""
+    """A unidirectional traffic demand across a fixed path of link ids."""
 
     flow_id: int
-    path: List[Link]
+    path: Tuple[int, ...]
     demand: float = float("inf")  # bytes/s the source could push
     rate: float = 0.0  # assigned by the allocator
 
     def __post_init__(self) -> None:
         if self.demand <= 0:
             raise ValueError("flow demand must be positive")
+        self.path = tuple(self.path)
 
 
 def _assign_local_rates(flows: Sequence[Flow]) -> Dict[int, Flow]:
@@ -70,7 +67,21 @@ def _assign_local_rates(flows: Sequence[Flow]) -> Dict[int, Flow]:
     return remaining
 
 
-def max_min_fair_rates_reference(flows: Sequence[Flow]) -> Dict[int, float]:
+def _check_up(flows: Sequence[Flow], links: LinkTable) -> None:
+    """Raise if any flow is routed over a down link (first offender,
+    flow-major)."""
+    up = links.up
+    for f in flows:
+        for link in f.path:
+            if not up[link]:
+                raise RuntimeError(
+                    f"flow {f.flow_id} routed over down link {links.name(link)}"
+                )
+
+
+def max_min_fair_rates_reference(
+    flows: Sequence[Flow], links: LinkTable
+) -> Dict[int, float]:
     """Water-filling oracle: repeatedly saturate the most-constrained link.
 
     Returns ``flow_id -> rate`` and also stores the rate on each flow.
@@ -79,14 +90,14 @@ def max_min_fair_rates_reference(flows: Sequence[Flow]) -> Dict[int, float]:
     reference the vectorized solver is property-tested against.
     """
     remaining = _assign_local_rates(flows)
+    _check_up(list(remaining.values()), links)
 
-    capacity: Dict[Link, float] = {}
-    users: Dict[Link, List[Flow]] = {}
+    capacity: Dict[int, float] = {}
+    users: Dict[int, List[Flow]] = {}
     for f in remaining.values():
         for link in f.path:
-            if not link.up:
-                raise RuntimeError(f"flow {f.flow_id} routed over down link {link.name}")
-            capacity.setdefault(link, link.bandwidth)
+            if link not in capacity:
+                capacity[link] = float(links.bandwidth[link])
             users.setdefault(link, []).append(f)
 
     allocated: Dict[int, float] = {}
@@ -127,8 +138,8 @@ def max_min_fair_rates_reference(flows: Sequence[Flow]) -> Dict[int, float]:
 
 def _is_bottlenecked(
     flow: Flow,
-    users: Dict[Link, List[Flow]],
-    capacity: Dict[Link, float],
+    users: Dict[int, List[Flow]],
+    capacity: Dict[int, float],
     active: set,
     share: float,
 ) -> bool:
@@ -143,35 +154,24 @@ def _is_bottlenecked(
 
 
 def _index_links(
-    ordered: Sequence[Flow],
-) -> Tuple[List[Link], np.ndarray, np.ndarray, np.ndarray]:
-    """(links, edge_flow, edge_link, capacities) of a routed flow set.
+    ordered: Sequence[Flow], links: LinkTable
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edge_flow, edge_link, capacities) of a routed flow set.
 
     Edges are laid out flow-major — the same order the reference walks —
     so the unbuffered ``np.subtract.at`` accumulations below reproduce
-    its floating-point sequence exactly.
+    its floating-point sequence exactly.  ``edge_link`` indexes the
+    distinct links used, whose capacities come back in the same order.
     """
-    link_index: Dict[Link, int] = {}
-    links: List[Link] = []
-    edge_flow: List[int] = []
-    edge_link: List[int] = []
-    for fi, f in enumerate(ordered):
-        for link in f.path:
-            if not link.up:
-                raise RuntimeError(f"flow {f.flow_id} routed over down link {link.name}")
-            li = link_index.get(link)
-            if li is None:
-                li = link_index[link] = len(links)
-                links.append(link)
-            edge_flow.append(fi)
-            edge_link.append(li)
-    capacities = np.array([l.bandwidth for l in links], dtype=float)
-    return (
-        links,
-        np.asarray(edge_flow, dtype=np.intp),
-        np.asarray(edge_link, dtype=np.intp),
-        capacities,
+    lengths = [len(f.path) for f in ordered]
+    edge_ids = np.fromiter(
+        chain.from_iterable(f.path for f in ordered), dtype=np.intp, count=sum(lengths)
     )
+    if not links.up[edge_ids].all():
+        _check_up(ordered, links)
+    used, edge_link = np.unique(edge_ids, return_inverse=True)
+    edge_flow = np.repeat(np.arange(len(ordered), dtype=np.intp), lengths)
+    return edge_flow, edge_link.astype(np.intp, copy=False), links.bandwidth[used]
 
 
 def _waterfill(
@@ -221,7 +221,15 @@ def _waterfill(
     return rates
 
 
-def _max_min_fair_rates_vectorized(flows: Sequence[Flow]) -> Dict[int, float]:
+def max_min_fair_rates(flows: Sequence[Flow], links: LinkTable) -> Dict[int, float]:
+    """Max-min fair rates of a flow set (``flow_id -> rate``).
+
+    Flow paths are ids into ``links``.  Rates are also stored on each
+    flow.  Flows with empty paths (same-node traffic) get their full
+    demand — including an unbounded one — so local transfers price as
+    latency-only.  Runs the numpy water-fill; the per-flow Python oracle
+    is :func:`max_min_fair_rates_reference`.
+    """
     remaining = _assign_local_rates(flows)
     ordered = list(remaining.values())
     if not ordered:
@@ -229,15 +237,17 @@ def _max_min_fair_rates_vectorized(flows: Sequence[Flow]) -> Dict[int, float]:
     if len(ordered) == 1:
         # Closed form: a lone flow takes its narrowest link (or demand).
         f = ordered[0]
-        occurrences: Dict[Link, int] = {}
+        _check_up(ordered, links)
+        occurrences: Dict[int, int] = {}
         for link in f.path:
-            if not link.up:
-                raise RuntimeError(f"flow {f.flow_id} routed over down link {link.name}")
             occurrences[link] = occurrences.get(link, 0) + 1
-        rate = min(f.demand, min(l.bandwidth / c for l, c in occurrences.items()))
+        rate = min(
+            f.demand,
+            min(float(links.bandwidth[l]) / c for l, c in occurrences.items()),
+        )
         f.rate = rate
         return {f.flow_id: rate}
-    _, edge_flow, edge_link, capacity = _index_links(ordered)
+    edge_flow, edge_link, capacity = _index_links(ordered, links)
     demand = np.array([f.demand for f in ordered], dtype=float)
     rates = _waterfill(demand, edge_flow, edge_link, capacity)
     allocated: Dict[int, float] = {}
@@ -247,156 +257,7 @@ def _max_min_fair_rates_vectorized(flows: Sequence[Flow]) -> Dict[int, float]:
     return allocated
 
 
-SOLVERS = ("auto", "vectorized", "reference")
-
-
-def max_min_fair_rates(flows: Sequence[Flow], solver: str = "auto") -> Dict[int, float]:
-    """Max-min fair rates of a flow set (``flow_id -> rate``).
-
-    Rates are also stored on each flow.  Flows with empty paths
-    (same-node traffic) get their full demand — including an unbounded
-    one — so local transfers price as latency-only.  ``solver`` picks
-    the implementation: ``"auto"``/``"vectorized"`` run the numpy
-    water-fill, ``"reference"`` the per-flow Python oracle; both
-    compute the same allocation.
-    """
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
-    if solver == "reference":
-        return max_min_fair_rates_reference(flows)
-    return _max_min_fair_rates_vectorized(flows)
-
-
-class IncrementalMaxMinSolver:
-    """Max-min shares maintained across flow-set edits.
-
-    Keeps the link-indexing structure (distinct links, per-flow link
-    indices, capacities) alive between solves so that:
-
-    * an unchanged flow set returns the cached allocation outright —
-      ring collectives whose steps reuse one flow configuration pay for
-      a single solve, not one per step;
-    * :meth:`move_flow` (a step shifting a flow onto different links)
-      re-indexes only that flow's path before the next vectorized
-      water-fill, instead of rebuilding every per-link dict from
-      scratch;
-    * a link flapping down or up invalidates the cached allocation
-      automatically (via :meth:`repro.network.link.Link.watch`), so a
-      stale clean-fabric solution can never be replayed across a fault.
-    """
-
-    def __init__(self, flows: Iterable[Flow] = ()) -> None:
-        self._flows: Dict[int, Flow] = {}
-        self._edges: Dict[int, Tuple[int, ...]] = {}  # flow_id -> link indices
-        self._link_index: Dict[Link, int] = {}
-        self._links: List[Link] = []
-        self._rates: Optional[Dict[int, float]] = None
-        self._solves = 0
-        for flow in flows:
-            self.add_flow(flow)
-
-    # -- bookkeeping -----------------------------------------------------------
-
-    def _invalidate(self) -> None:
-        self._rates = None
-
-    def _index_path(self, flow: Flow) -> Tuple[int, ...]:
-        indices = []
-        for link in flow.path:
-            li = self._link_index.get(link)
-            if li is None:
-                li = self._link_index[link] = len(self._links)
-                self._links.append(link)
-                link.watch(self._make_watcher())
-            indices.append(li)
-        return tuple(indices)
-
-    def _make_watcher(self) -> Callable[[], None]:
-        import weakref
-
-        ref = weakref.ref(self)
-
-        def invalidate() -> None:
-            solver = ref()
-            if solver is not None:
-                solver._invalidate()
-
-        return invalidate
-
-    @property
-    def n_flows(self) -> int:
-        return len(self._flows)
-
-    @property
-    def solves(self) -> int:
-        """Water-fills actually run (cached returns don't count)."""
-        return self._solves
-
-    def add_flow(self, flow: Flow) -> None:
-        if flow.flow_id in self._flows:
-            raise ValueError(f"flow {flow.flow_id} already present")
-        self._flows[flow.flow_id] = flow
-        self._edges[flow.flow_id] = self._index_path(flow)
-        self._invalidate()
-
-    def remove_flow(self, flow_id: int) -> Flow:
-        flow = self._flows.pop(flow_id)  # KeyError propagates
-        del self._edges[flow_id]
-        self._invalidate()
-        return flow
-
-    def move_flow(self, flow_id: int, new_path: Sequence[Link]) -> None:
-        """Shift one flow onto a different link path (O(path) work)."""
-        flow = self._flows[flow_id]
-        flow.path = list(new_path)
-        self._edges[flow_id] = self._index_path(flow)
-        self._invalidate()
-
-    # -- solving ---------------------------------------------------------------
-
-    def solve(self) -> Dict[int, float]:
-        """The allocation ``flow_id -> rate`` (cached when unchanged).
-
-        The returned dict is the solver's cached object — treat it as
-        read-only.  Rates are also stored on the flows.
-        """
-        if self._rates is not None:
-            return self._rates
-        routed = [f for f in self._flows.values() if f.path]
-        for f in self._flows.values():
-            if not f.path:
-                f.rate = f.demand
-        edge_flow: List[int] = []
-        edge_link: List[int] = []
-        for fi, f in enumerate(routed):
-            for li in self._edges[f.flow_id]:
-                edge_flow.append(fi)
-                edge_link.append(li)
-        for f in routed:
-            for link in f.path:
-                if not link.up:
-                    raise RuntimeError(
-                        f"flow {f.flow_id} routed over down link {link.name}"
-                    )
-        allocated: Dict[int, float] = {}
-        if routed:
-            capacity = np.array([l.bandwidth for l in self._links], dtype=float)
-            demand = np.array([f.demand for f in routed], dtype=float)
-            rates = _waterfill(
-                demand,
-                np.asarray(edge_flow, dtype=np.intp),
-                np.asarray(edge_link, dtype=np.intp),
-                capacity,
-            )
-            for f, rate in zip(routed, rates.tolist()):
-                f.rate = rate
-                allocated[f.flow_id] = rate
-        self._solves += 1
-        self._rates = allocated
-        return allocated
-
-
-def transfer_time(size: float, flow: Flow) -> float:
+def transfer_time(size: float, flow: Flow, links: LinkTable) -> float:
     """Seconds to move ``size`` bytes at the flow's allocated rate."""
     if size < 0:
         raise ValueError("negative transfer size")
@@ -404,22 +265,4 @@ def transfer_time(size: float, flow: Flow) -> float:
         return 0.0
     if flow.rate <= 0:
         raise RuntimeError(f"flow {flow.flow_id} has no allocated rate")
-    latency = sum(l.latency for l in flow.path)
-    return size / flow.rate + latency
-
-
-@dataclass
-class TrafficMatrix:
-    """A named batch of flows evaluated together (one comm phase)."""
-
-    flows: List[Flow] = field(default_factory=list)
-
-    def add(self, flow: Flow) -> None:
-        self.flows.append(flow)
-
-    def allocate(self) -> Dict[int, float]:
-        return max_min_fair_rates(self.flows)
-
-    def bottleneck_rate(self) -> float:
-        rates = [f.rate for f in self.flows if f.path]
-        return min(rates) if rates else float("inf")
+    return size / flow.rate + links.delay(flow.path)

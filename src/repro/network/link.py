@@ -1,100 +1,60 @@
-"""Directed network links with capacity, latency and up/down state."""
+"""Directed network links as integer ids into one :class:`LinkTable`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Tuple
+from typing import Sequence
+
+import numpy as np
 
 
-@dataclass(eq=False)  # identity equality/hash: links are used as dict keys
-class Link:
-    """A unidirectional link between two devices in the fabric.
+class LinkTable:
+    """Every directed link of a fabric; a link is its integer index here.
 
-    Up/down transitions — whether through :meth:`set_state` or a direct
-    ``link.up = False`` — notify any callbacks registered with
-    :meth:`watch`, so fabrics and solvers can invalidate cached
-    fingerprints/allocations without rescanning every link.
+    Endpoint names live in the ``src``/``dst`` lists; capacity
+    (bytes/s), latency (seconds), up/down state and bytes carried live
+    in numpy arrays.  Taking a link down is ``table.up[i] = False``, and
+    a whole-fabric health check is one ``table.up.all()`` — there are no
+    per-link objects to observe.
     """
 
-    src: str
-    dst: str
-    bandwidth: float  # bytes/s
-    latency: float = 1e-6  # propagation + switching, seconds
-    up: bool = True
-    # Accumulated statistics (fluid model bookkeeping).
-    bytes_carried: float = 0.0
-    flows_assigned: int = 0
+    def __init__(
+        self,
+        src: Sequence[str],
+        dst: Sequence[str],
+        bandwidth,
+        latency=1e-6,
+    ) -> None:
+        """``bandwidth`` and ``latency`` are per-link sequences or one
+        scalar shared by every link."""
+        if len(src) != len(dst):
+            raise ValueError("src and dst name lists differ in length")
+        self.src = list(src)
+        self.dst = list(dst)
+        n = len(self.src)
+        self.bandwidth = np.array(np.broadcast_to(np.asarray(bandwidth, dtype=float), (n,)))
+        self.latency = np.array(np.broadcast_to(np.asarray(latency, dtype=float), (n,)))
+        bad = np.flatnonzero(self.bandwidth <= 0)
+        if bad.size:
+            raise ValueError(f"link {self.name(int(bad[0]))} must have positive bandwidth")
+        bad = np.flatnonzero(self.latency < 0)
+        if bad.size:
+            raise ValueError(f"link {self.name(int(bad[0]))} has negative latency")
+        self.up = np.ones(n, dtype=bool)
+        self.carried = np.zeros(n)  # fluid-model bytes moved per link
 
-    def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError(f"link {self.name} must have positive bandwidth")
-        if self.latency < 0:
-            raise ValueError(f"link {self.name} has negative latency")
+    def __len__(self) -> int:
+        return len(self.src)
 
-    def watch(self, callback: Callable[[], None]) -> None:
-        """Register a callback fired on every ``up`` transition.
+    def name(self, link: int) -> str:
+        return f"{self.src[link]}->{self.dst[link]}"
 
-        Callbacks should hold only weak references to heavyweight
-        owners (see :meth:`repro.network.topology.ClosFabric`); they
-        are not pickled with the link.
-        """
-        self.__dict__.setdefault("_watchers", []).append(callback)
+    def delay(self, path: Sequence[int]) -> float:
+        """Summed latency of the links along ``path`` (seconds)."""
+        return sum(self.latency[list(path)].tolist())
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name == "up":
-            old = self.__dict__.get("up")
-            object.__setattr__(self, name, value)
-            if old is not None and old != value:
-                for callback in self.__dict__.get("_watchers", ()):
-                    callback()
-            return
-        object.__setattr__(self, name, value)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        state.pop("_watchers", None)  # callbacks don't survive pickling
-        return state
-
-    @property
-    def name(self) -> str:
-        return f"{self.src}->{self.dst}"
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        return (self.src, self.dst)
-
-    def carry(self, nbytes: float) -> None:
+    def carry(self, path: Sequence[int], nbytes: float) -> None:
+        """Account ``nbytes`` on every link of ``path`` (a link the path
+        crosses twice carries them twice)."""
         if nbytes < 0:
             raise ValueError("cannot carry negative bytes")
-        self.bytes_carried += nbytes
-
-    def set_state(self, up: bool) -> None:
-        self.up = up
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self.up else "DOWN"
-        return f"<Link {self.name} {self.bandwidth / 125e6:.0f}Gbps {state}>"
-
-
-@dataclass
-class DuplexLink:
-    """A bidirectional connection modelled as two independent links."""
-
-    forward: Link
-    reverse: Link = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.reverse = Link(
-            src=self.forward.dst,
-            dst=self.forward.src,
-            bandwidth=self.forward.bandwidth,
-            latency=self.forward.latency,
-        )
-
-    def set_state(self, up: bool) -> None:
-        self.forward.set_state(up)
-        self.reverse.set_state(up)
-
-    @property
-    def up(self) -> bool:
-        return self.forward.up and self.reverse.up
+        np.add.at(self.carried, np.asarray(path, dtype=np.intp), nbytes)

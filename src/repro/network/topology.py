@@ -24,11 +24,12 @@ code (the fabric backend, validation, the ring runtime) builds a
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .link import Link
+import numpy as np
+
+from .link import LinkTable
 from .routing import ecmp_choice
 from .switch import Switch, SwitchRole, agg_role, spine_role, tor_role
 
@@ -113,7 +114,12 @@ class Topology:
 
 @dataclass
 class ClosFabric:
-    """A built fabric: devices, links, and path computation."""
+    """A built fabric: devices, one link table, and path computation.
+
+    A link is an integer id into :attr:`links`; :attr:`parallel_links`
+    maps a ``(src, dst)`` switch/NIC name pair to the ids of its
+    parallel links, in ECMP order.
+    """
 
     n_nodes: int
     nodes_per_pod: int = 64
@@ -125,10 +131,9 @@ class ClosFabric:
     split_tor_downlinks: bool = True
     nic_rate: float = 0.0  # derived from the ToR role if 0
 
-    switches: Dict[str, Switch] = field(default_factory=dict)
-    links: Dict[Tuple[str, str], Link] = field(default_factory=dict)
-    # Parallel links between switch pairs for ECMP: (src, dst) -> [Link].
-    parallel_links: Dict[Tuple[str, str], List[Link]] = field(default_factory=dict)
+    switches: Dict[str, Switch] = field(init=False, repr=False)
+    links: LinkTable = field(init=False, repr=False)
+    parallel_links: Dict[Tuple[str, str], Tuple[int, ...]] = field(init=False, repr=False)
     # The node→pod/rack map; every pod lookup goes through it.
     topology: Topology = field(init=False, repr=False)
 
@@ -138,116 +143,89 @@ class ClosFabric:
         if self.rails < 1 or self.nodes_per_pod < 1:
             raise ValueError("rails and nodes_per_pod must be positive")
         self.topology = Topology.for_pods(self.n_nodes, self.nodes_per_pod)
-        self._tor = tor_role(split_downlinks=self.split_tor_downlinks)
-        self._agg = agg_role()
-        self._spine = spine_role()
+        tor = tor_role(split_downlinks=self.split_tor_downlinks)
         if self.nic_rate == 0.0:
-            self.nic_rate = self._tor.downlink_rate
-        self._build()
-        self._fingerprint_cache: Optional[Tuple] = None
-        self._watch_links()
-
-    def _watch_links(self) -> None:
-        """Invalidate the cached fingerprint on any link up/down flip.
-
-        The callback holds only a weak reference to the fabric, so
-        watching its own links creates no reference cycle and never
-        keeps a dead fabric alive through its links.
-        """
-        ref = weakref.ref(self)
-
-        def invalidate() -> None:
-            fabric = ref()
-            if fabric is not None:
-                fabric._fingerprint_cache = None
-
-        for links in self.parallel_links.values():
-            for link in links:
-                link.watch(invalidate)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        state.pop("_fingerprint_cache", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._fingerprint_cache = None
-        self._watch_links()  # link watchers don't survive pickling
+            self.nic_rate = tor.downlink_rate
+        self._build(tor, agg_role(), spine_role())
 
     # -- construction -----------------------------------------------------
 
     def tor_name(self, pod: int, rail: int) -> str:
         return f"tor{pod}.{rail}"
 
-    def _build(self) -> None:
+    def _build(self, tor: SwitchRole, agg: SwitchRole, spine: SwitchRole) -> None:
         n_pods = self.topology.n_pods
+        roles = []
         for pod in range(n_pods):
-            for rail in range(self.rails):
-                self._add_switch(self.tor_name(pod, rail), self._tor)
-            for a in range(self.aggs_per_pod):
-                self._add_switch(f"agg{pod}.{a}", self._agg)
-        for s in range(self.n_spines):
-            self._add_switch(f"spine{s}", self._spine)
+            roles += [(self.tor_name(pod, rail), tor) for rail in range(self.rails)]
+            roles += [(f"agg{pod}.{a}", agg) for a in range(self.aggs_per_pod)]
+        roles += [(f"spine{s}", spine) for s in range(self.n_spines)]
+        self.switches = {name: Switch(role=role, name=name) for name, role in roles}
+
+        src: List[str] = []
+        dst: List[str] = []
+        rates: List[float] = []  # one per connect() call, covering 2 * count links
+        counts: List[int] = []
+        self.parallel_links = {}
+
+        def connect(a: str, b: str, count: int, bandwidth: float) -> None:
+            """``count`` parallel links each way between ``a`` and ``b``."""
+            for s, d in ((a, b), (b, a)):
+                start = len(src)
+                src.extend([s] * count)
+                dst.extend([d] * count)
+                self.parallel_links[(s, d)] = tuple(range(start, start + count))
+            rates.append(bandwidth)
+            counts.append(2 * count)
 
         for node in range(self.n_nodes):
             pod = self.topology.pod_of(node)
             for rail in range(self.rails):
-                tor = self.tor_name(pod, rail)
-                self._add_duplex(f"node{node}.nic{rail}", tor, self.nic_rate, 1e-6)
-
+                connect(f"node{node}.nic{rail}", self.tor_name(pod, rail), 1, self.nic_rate)
         for pod in range(n_pods):
             for rail in range(self.rails):
-                tor = self.tor_name(pod, rail)
                 for a in range(self.aggs_per_pod):
-                    agg = f"agg{pod}.{a}"
-                    for k in range(self.tor_uplinks_per_agg):
-                        self._add_parallel(tor, agg, k, self._tor.uplink_rate)
+                    connect(
+                        self.tor_name(pod, rail), f"agg{pod}.{a}",
+                        self.tor_uplinks_per_agg, tor.uplink_rate,
+                    )
             for a in range(self.aggs_per_pod):
-                agg = f"agg{pod}.{a}"
                 for s in range(self.n_spines):
-                    spine = f"spine{s}"
-                    for k in range(self.agg_uplinks_per_spine):
-                        self._add_parallel(agg, spine, k, self._agg.uplink_rate)
-
-    def _add_switch(self, name: str, role: SwitchRole) -> None:
-        self.switches[name] = Switch(role=role, name=name)
-
-    def _add_duplex(self, a: str, b: str, bandwidth: float, latency: float) -> None:
-        for src, dst in ((a, b), (b, a)):
-            link = Link(src=src, dst=dst, bandwidth=bandwidth, latency=latency)
-            self.links[link.key] = link
-            self.parallel_links.setdefault((src, dst), []).append(link)
-
-    def _add_parallel(self, a: str, b: str, index: int, bandwidth: float) -> None:
-        for src, dst in ((a, b), (b, a)):
-            link = Link(src=src, dst=dst, bandwidth=bandwidth, latency=1e-6)
-            # Keyed with the parallel index to keep links distinct.
-            self.links[(f"{src}#{index}", dst)] = link
-            self.parallel_links.setdefault((src, dst), []).append(link)
+                    connect(
+                        f"agg{pod}.{a}", f"spine{s}",
+                        self.agg_uplinks_per_spine, agg.uplink_rate,
+                    )
+        self.links = LinkTable(src, dst, np.repeat(rates, counts), latency=1e-6)
 
     # -- queries ------------------------------------------------------------
 
     def fingerprint(self) -> Tuple:
         """Hashable identity of the built fabric, for memoization keys.
 
-        Covers the constructor configuration plus the up/down state of
-        every link, so prices cached against one fabric are reused by
-        any identically-configured healthy fabric but never survive a
-        degraded (or differently-built) one.
-
-        The value is cached — the O(links) scan would otherwise run on
-        every memo lookup — and invalidated by link up/down transitions
-        (including direct ``link.up`` writes), so a flapped link still
-        busts downstream caches.
+        Covers the constructor configuration plus the ids of every down
+        link, so prices cached against one fabric are reused by any
+        identically-configured healthy fabric but never survive a
+        degraded (or differently-built) one.  Computed on each call: a
+        healthy fabric costs one ``up.all()``.
         """
-        if self._fingerprint_cache is None:
-            self._fingerprint_cache = self._compute_fingerprint()
-        return self._fingerprint_cache
+        up = self.links.up
+        down = () if up.all() else tuple(np.flatnonzero(~up).tolist())
+        return (
+            self.n_nodes,
+            self.nodes_per_pod,
+            self.rails,
+            self.aggs_per_pod,
+            self.n_spines,
+            self.tor_uplinks_per_agg,
+            self.agg_uplinks_per_spine,
+            self.split_tor_downlinks,
+            self.nic_rate,
+            down,
+        )
 
     def degraded(self) -> bool:
         """Whether any link is currently down (placement symmetry broken)."""
-        return bool(self.fingerprint()[-1])
+        return not self.links.up.all()
 
     def canonical_node_offsets(self, nodes: Sequence[int]) -> Tuple[int, ...]:
         """Translate a node group down to its canonical within-pod offset.
@@ -271,28 +249,6 @@ class ClosFabric:
             return tuple(nodes)
         return tuple(n - offset for n in nodes)
 
-    def _compute_fingerprint(self) -> Tuple:
-        down = tuple(
-            sorted(
-                f"{src}->{dst}#{i}"
-                for (src, dst), links in self.parallel_links.items()
-                for i, link in enumerate(links)
-                if not link.up
-            )
-        )
-        return (
-            self.n_nodes,
-            self.nodes_per_pod,
-            self.rails,
-            self.aggs_per_pod,
-            self.n_spines,
-            self.tor_uplinks_per_agg,
-            self.agg_uplinks_per_spine,
-            self.split_tor_downlinks,
-            self.nic_rate,
-            down,
-        )
-
     def hops(self, src: int, dst: int) -> int:
         """Number of links a rail-aligned packet crosses."""
         if src == dst:
@@ -301,49 +257,70 @@ class ClosFabric:
             return 2  # nic -> tor -> nic
         return 6  # nic -> tor -> agg -> spine -> agg -> tor -> nic
 
-    def _pick(self, src: str, dst: str, flow_id: int) -> Link:
-        candidates = [l for l in self.parallel_links[(src, dst)] if l.up]
-        if not candidates:
-            raise RuntimeError(f"no live link {src} -> {dst}")
-        return candidates[ecmp_choice(flow_id, src, dst, len(candidates))]
+    def path(self, src: int, dst: int, rail: int, flow_id: int = 0) -> Tuple[int, ...]:
+        """ECMP-resolved link ids of a rail-aligned flow."""
+        return self._route(src, dst, rail, flow_id, bool(self.links.up.all()))
 
-    def path(self, src: int, dst: int, rail: int, flow_id: int = 0) -> List[Link]:
-        """ECMP-resolved link path for a rail-aligned flow."""
+    def ring_paths(self, nodes: Sequence[int], rail: int) -> List[Tuple[int, ...]]:
+        """Link ids of every neighbour pair of the ring over ``nodes``.
+
+        Pair ``i`` (``nodes[i] -> nodes[i + 1]``) routes as flow ``i``;
+        a same-host pair gets the empty path.  Checks fabric health once
+        for the whole ring rather than once per pair.
+        """
+        healthy = bool(self.links.up.all())
+        n = len(nodes)
+        paths = []
+        for i, src in enumerate(nodes):
+            dst = nodes[(i + 1) % n]
+            paths.append(() if src == dst else self._route(src, dst, rail, i, healthy))
+        return paths
+
+    def _pick(self, src: str, dst: str, flow_id: int, healthy: bool) -> int:
+        ids = self.parallel_links[(src, dst)]
+        if not healthy:
+            up = self.links.up
+            ids = [i for i in ids if up[i]]
+            if not ids:
+                raise RuntimeError(f"no live link {src} -> {dst}")
+        return ids[ecmp_choice(flow_id, src, dst, len(ids))]
+
+    def _route(
+        self, src: int, dst: int, rail: int, flow_id: int, healthy: bool
+    ) -> Tuple[int, ...]:
         src_pod, dst_pod = self.topology.pod_of(src), self.topology.pod_of(dst)
         if not 0 <= rail < self.rails:
             raise ValueError(f"rail {rail} outside 0..{self.rails - 1}")
         if src == dst:
-            return []
+            return ()
         src_nic = f"node{src}.nic{rail}"
         dst_nic = f"node{dst}.nic{rail}"
         src_tor = self.tor_name(src_pod, rail)
         dst_tor = self.tor_name(dst_pod, rail)
+        pick = self._pick
         if src_pod == dst_pod:
-            return [
-                self._pick(src_nic, src_tor, flow_id),
-                self._pick(src_tor, dst_nic, flow_id),
-            ]
+            return (
+                pick(src_nic, src_tor, flow_id, healthy),
+                pick(src_tor, dst_nic, flow_id, healthy),
+            )
         agg_up = f"agg{src_pod}.{ecmp_choice(flow_id, src_tor, 'aggsel', self.aggs_per_pod)}"
         spine = f"spine{ecmp_choice(flow_id, agg_up, 'spinesel', self.n_spines)}"
         agg_down = f"agg{dst_pod}.{ecmp_choice(flow_id, spine, 'aggdown', self.aggs_per_pod)}"
-        return [
-            self._pick(src_nic, src_tor, flow_id),
-            self._pick(src_tor, agg_up, flow_id),
-            self._pick(agg_up, spine, flow_id),
-            self._pick(spine, agg_down, flow_id),
-            self._pick(agg_down, dst_tor, flow_id),
-            self._pick(dst_tor, dst_nic, flow_id),
-        ]
-
-    def path_latency(self, path: List[Link]) -> float:
-        return sum(l.latency for l in path)
+        return (
+            pick(src_nic, src_tor, flow_id, healthy),
+            pick(src_tor, agg_up, flow_id, healthy),
+            pick(agg_up, spine, flow_id, healthy),
+            pick(spine, agg_down, flow_id, healthy),
+            pick(agg_down, dst_tor, flow_id, healthy),
+            pick(dst_tor, dst_nic, flow_id, healthy),
+        )
 
     def bisection_bandwidth(self) -> float:
         """Aggregate spine-layer bandwidth (upper bound on cross-pod traffic)."""
         total = 0.0
-        for (src, dst), links in self.parallel_links.items():
+        for (src, dst), ids in self.parallel_links.items():
             if src.startswith("agg") and dst.startswith("spine"):
-                total += sum(l.bandwidth for l in links)
+                total += sum(self.links.bandwidth[list(ids)].tolist())
         return total
 
 
@@ -360,8 +337,8 @@ def shared_fabric(
 ) -> ClosFabric:
     """A process-shared :class:`ClosFabric` for the given configuration.
 
-    Building a paper-scale fabric is O(links) — ~50k link objects at
-    1,536 nodes — which dominated plan search when every candidate's
+    Building a paper-scale fabric is O(links) — ~50k links at 1,536
+    nodes — which dominated plan search when every candidate's
     comm model rebuilt its own copy.  Identically-configured fabrics
     are immutable for pricing purposes, so read-only consumers
     (fabric-backed ``build_comm_model``, ``validation_report``) share

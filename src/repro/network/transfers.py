@@ -12,20 +12,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim import Event, Simulator
 from .flow import Flow, max_min_fair_rates
-from .link import Link
+from .link import LinkTable
 
 _transfer_ids = itertools.count()
 
 
 @dataclass
 class Transfer:
-    """One byte stream over a fixed path."""
+    """One byte stream over a fixed path of link ids."""
 
-    path: List[Link]
+    path: Tuple[int, ...]
     size: float
     transfer_id: int = field(default_factory=lambda: next(_transfer_ids))
     remaining: float = field(init=False)
@@ -38,6 +38,7 @@ class Transfer:
         if self.size <= 0:
             raise ValueError("transfer size must be positive")
         self.remaining = self.size
+        self.path = tuple(self.path)
 
     @property
     def finished(self) -> bool:
@@ -45,10 +46,12 @@ class Transfer:
 
 
 class TransferEngine:
-    """Schedules transfers and reallocates bandwidth on every change."""
+    """Schedules transfers over ``links`` and reallocates bandwidth on
+    every change."""
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self, sim: Simulator, links: LinkTable) -> None:
         self.sim = sim
+        self.links = links
         self.active: Dict[int, Transfer] = {}
         self._generation = 0  # bumped on every reallocation; stale timers no-op
         self._last_update = 0.0
@@ -56,7 +59,7 @@ class TransferEngine:
 
     # -- public API ------------------------------------------------------------
 
-    def submit(self, path: List[Link], size: float) -> Transfer:
+    def submit(self, path: Sequence[int], size: float) -> Transfer:
         """Start a transfer now; returns it with a waitable ``done`` event."""
         transfer = Transfer(path=path, size=size)
         transfer.done = self.sim.event(name=f"transfer-{transfer.transfer_id}")
@@ -80,8 +83,7 @@ class TransferEngine:
             for transfer in self.active.values():
                 moved = transfer.rate * elapsed
                 transfer.remaining = max(0.0, transfer.remaining - moved)
-                for link in transfer.path:
-                    link.carry(moved)
+                self.links.carry(transfer.path, moved)
         self._last_update = self.sim.now
 
     def _reallocate_and_arm(self) -> None:
@@ -93,7 +95,7 @@ class TransferEngine:
             Flow(flow_id=tid, path=t.path)
             for tid, t in self.active.items()
         ]
-        rates = max_min_fair_rates(flows)
+        rates = max_min_fair_rates(flows, self.links)
         for tid, transfer in self.active.items():
             transfer.rate = rates.get(tid, 0.0)
             if transfer.rate <= 0 and transfer.path:
@@ -133,14 +135,9 @@ class TransferEngine:
         self._reallocate_and_arm()
 
 
-def execute_transfers(
-    sim: Simulator,
-    submissions: List,
-    engine: Optional[TransferEngine] = None,
-) -> TransferEngine:
-    """Submit ``(delay, path, size)`` tuples on a schedule and run all."""
-    engine = engine or TransferEngine(sim)
+def execute_transfers(engine: TransferEngine, submissions: List) -> TransferEngine:
+    """Submit ``(delay, path, size)`` tuples on the engine's clock and run all."""
     for delay, path, size in submissions:
-        sim.schedule(delay, lambda path=path, size=size: engine.submit(path, size))
-    sim.run()
+        engine.sim.schedule(delay, lambda path=path, size=size: engine.submit(path, size))
+    engine.sim.run()
     return engine

@@ -120,13 +120,13 @@ def test_pfc_penalty_validation_and_pause_curve():
 def test_pfc_penalty_kicks_in_at_three_flows_on_split_uplink():
     # Port splitting (§3.6): a 2x-rate uplink absorbs two NIC-rate flows;
     # a penalty requires 3+ colliding flows.
-    from repro.network import Link
+    from repro.network import LinkTable
 
     penalty = PfcPenaltyModel()
-    shared = Link(src="tor", dst="agg", bandwidth=2.0, latency=1e-6)
+    links = LinkTable(["tor"], ["agg"], 2.0, latency=1e-6)
     for n_flows, expect_paused in ((2, 0), (3, 3)):
-        paths = [[shared] for _ in range(n_flows)]
-        cost = routed_step_cost(paths, 1e6, demand=1.0, penalty=penalty)
+        paths = [[0] for _ in range(n_flows)]
+        cost = routed_step_cost(paths, links, 1e6, demand=1.0, penalty=penalty)
         assert cost.paused_flows == expect_paused
 
 
@@ -134,10 +134,10 @@ def test_utilization_reports_effective_rates():
     # A lone flow owning a 10 B/s link at cc_efficiency 0.5 only ever
     # moves 5 B/s — the reported utilization must say so, not echo the
     # pre-derate fair-share allocation (which would claim 1.0).
-    from repro.network import Link
+    from repro.network import LinkTable
 
-    link = Link(src="a", dst="b", bandwidth=10.0, latency=1e-6)
-    cost = routed_step_cost([[link]], 1e3, demand=10.0, cc_efficiency=0.5)
+    links = LinkTable(["a"], ["b"], 10.0, latency=1e-6)
+    cost = routed_step_cost([[0]], links, 1e3, demand=10.0, cc_efficiency=0.5)
     assert cost.utilization == pytest.approx(0.5)
     assert cost.oversubscription == pytest.approx(0.5)
 
@@ -146,11 +146,11 @@ def test_oversubscription_reports_derated_offered_load():
     # demand 30 on a 10 B/s link: the raw 3.0x ratio triggers the PFC
     # pause (0.1/excess -> 20% paused), and the *reported* gauges then
     # reflect what is actually pushed and charged after derating.
-    from repro.network import Link
+    from repro.network import LinkTable
 
     penalty = PfcPenaltyModel(pause_per_excess=0.1, retransmit_latency=0.0)
-    link = Link(src="a", dst="b", bandwidth=10.0, latency=1e-6)
-    cost = routed_step_cost([[link]], 1e3, demand=30.0, penalty=penalty)
+    links = LinkTable(["a"], ["b"], 10.0, latency=1e-6)
+    cost = routed_step_cost([[0]], links, 1e3, demand=30.0, penalty=penalty)
     assert cost.paused_flows == 1
     assert cost.oversubscription == pytest.approx(30.0 * 0.8 / 10.0)  # 2.4, not 3.0
     assert cost.utilization == pytest.approx(10.0 * 0.8 / 10.0)
@@ -158,8 +158,8 @@ def test_oversubscription_reports_derated_offered_load():
 
 def test_unbounded_demand_never_pays_pfc():
     fabric = _fabric()
-    paths = [fabric.path(i, (i + 1) % 8, rail=0, flow_id=i) for i in range(8)]
-    cost = routed_step_cost(paths, 1e6, demand=None, penalty=PfcPenaltyModel())
+    paths = fabric.ring_paths(range(8), rail=0)
+    cost = routed_step_cost(paths, fabric.links, 1e6, demand=None, penalty=PfcPenaltyModel())
     assert cost.paused_flows == 0
     assert cost.oversubscription == 0.0
 
@@ -245,7 +245,7 @@ def test_fabric_cost_memoized_by_fingerprint():
     assert cache.hits == 2
     # ...but a degraded one never does, even when the downed link (a ToR
     # uplink) is off this collective's intra-pod paths.
-    twin.parallel_links[("tor0.0", "agg0.0")][0].up = False
+    twin.links.up[twin.parallel_links[("tor0.0", "agg0.0")][0]] = False
     fabric_collective_cost("all_gather", 1e9, nodes, twin)
     assert cache.misses == 2
 
@@ -282,22 +282,22 @@ def test_degraded_fabric_disables_symmetry_dedup():
     cache = get_cache("fabric_collective_cost")
     cache.reset()
     fabric = _fabric(n_nodes=16, nodes_per_pod=8)
-    fabric.parallel_links[("tor0.0", "agg0.0")][0].up = False
+    fabric.links.up[fabric.parallel_links[("tor0.0", "agg0.0")][0]] = False
     assert fabric.degraded()
     fabric_collective_cost("all_gather", 1e9, (0, 1, 2, 3), fabric)
     fabric_collective_cost("all_gather", 1e9, (4, 5, 6, 7), fabric)
     assert cache.misses == 2 and cache.hits == 0
 
 
-def test_fingerprint_cached_and_invalidated_by_flap():
+def test_fingerprint_tracks_link_state():
     fabric = _fabric(n_nodes=8, nodes_per_pod=8)
     clean = fabric.fingerprint()
-    assert fabric.fingerprint() is clean  # cached tuple, no rescan
     link = fabric.parallel_links[("tor0.0", "agg0.0")][0]
-    link.set_state(False)
+    fabric.links.up[link] = False
     degraded = fabric.fingerprint()
     assert degraded != clean
-    link.up = True  # direct attribute write must also invalidate
+    assert degraded[-1] == (link,)  # the down link ids, nothing cached
+    fabric.links.up[link] = True
     assert fabric.fingerprint() == clean
 
 
@@ -308,18 +308,19 @@ def test_fingerprint_invalidation_survives_pickle():
     clean = fabric.fingerprint()
     clone = pickle.loads(pickle.dumps(fabric))
     assert clone.fingerprint() == clean
-    clone.parallel_links[("tor0.0", "agg0.0")][0].up = False
-    assert clone.fingerprint() != clean  # watchers re-registered on load
-    assert fabric.fingerprint() == clean  # the original is untouched
+    clone.links.up[clone.parallel_links[("tor0.0", "agg0.0")][0]] = False
+    assert clone.fingerprint() != clean
+    assert fabric.links.up.all()  # the clone's up array is its own
+    assert fabric.fingerprint() == clean
 
 
 def test_flapper_driven_outage_busts_the_memo():
-    # End-to-end: a LinkFlapper outage on a fabric link must flow
-    # through the cached fingerprint into a fresh memo entry, and the
-    # healthy entry must come back once the flap ends.
+    # End-to-end: a LinkFlapper outage on a fabric link takes both
+    # directions down, flows through the fingerprint into a fresh memo
+    # entry, and the healthy entry comes back once the flap ends.
     import numpy as np
 
-    from repro.network import DuplexLink, LinkFlapper
+    from repro.network import LinkFlapper
     from repro.sim import Simulator
 
     cache = get_cache("fabric_collective_cost")
@@ -327,20 +328,66 @@ def test_flapper_driven_outage_busts_the_memo():
     fabric = _fabric(n_nodes=16, nodes_per_pod=8)
     nodes = (0, 1, 2, 3)
     fabric_collective_cost("all_gather", 1e9, nodes, fabric)
-    duplex = DuplexLink(fabric.parallel_links[("tor0.0", "agg0.0")][0])
+    forward = fabric.parallel_links[("tor0.0", "agg0.0")][0]
+    reverse = fabric.parallel_links[("agg0.0", "tor0.0")][0]
     sim = Simulator()
     flapper = LinkFlapper(
-        sim, duplex, mean_interval=1.0, mean_down_time=5.0,
-        rng=np.random.default_rng(0),
+        sim, (fabric.links, (forward, reverse)), mean_interval=1.0,
+        mean_down_time=5.0, rng=np.random.default_rng(0),
     )
     flapper.start()
     sim.run(until=2.0)  # long flap: the link is down right now
-    assert not duplex.forward.up
+    assert not fabric.links.up[forward] and not fabric.links.up[reverse]
     fabric_collective_cost("all_gather", 1e9, nodes, fabric)
     assert cache.misses == 2
     flapper.stop()  # restores the link
+    assert fabric.links.up.all()
     fabric_collective_cost("all_gather", 1e9, nodes, fabric)
     assert cache.hits == 1  # healthy fingerprint (and entry) restored
+
+
+@st.composite
+def degraded_rings(draw):
+    """A small two-pod fabric, a random set of down uplinks (never a
+    whole parallel group, so every pair stays routable) and a ring."""
+    fabric = ClosFabric(
+        n_nodes=8, nodes_per_pod=4, rails=2, aggs_per_pod=2, n_spines=2,
+        tor_uplinks_per_agg=2, agg_uplinks_per_spine=2,
+    )
+    spares = sorted(i for ids in fabric.parallel_links.values() for i in ids[1:])
+    down = draw(st.lists(st.sampled_from(spares), unique=True, max_size=12))
+    fabric.links.up[down] = False
+    nodes = draw(st.lists(st.integers(0, 7), min_size=2, max_size=8))
+    return fabric, nodes, draw(st.integers(0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(degraded_rings())
+def test_fabric_ring_price_matches_reference_solver(case):
+    # The fabric fast path (ring routing + vectorized water-fill) must
+    # price a ring exactly as the per-flow oracle prices the same paths.
+    from repro.collectives.fabric import price_routed_step
+    from repro.network import Flow
+    from repro.network.flow import max_min_fair_rates_reference
+
+    fabric, nodes, rail = case
+    model = FabricCostModel(fabric, rail=rail)
+    fast = model.step_cost(nodes, 1e8)
+    flows = [
+        Flow(flow_id=i, path=path, demand=model.nic_rate)
+        for i, path in enumerate(fabric.ring_paths(nodes, rail))
+        if path
+    ]
+    max_min_fair_rates_reference(flows, fabric.links)
+    oracle = price_routed_step(
+        flows, fabric.links, 1e8, demand=model.nic_rate,
+        cc_efficiency=model.cc_efficiency, penalty=model.penalty,
+    )
+    assert fast.n_flows == oracle.n_flows
+    assert fast.max_link_load == oracle.max_link_load
+    assert fast.paused_flows == oracle.paused_flows
+    assert fast.duration == pytest.approx(oracle.duration, rel=1e-9)
+    assert fast.utilization == pytest.approx(oracle.utilization, rel=1e-9)
 
 
 def test_fabric_memo_telemetry_only_on_fresh_compute():

@@ -53,13 +53,13 @@ def test_degraded_link_slows_the_whole_ring(fabric):
     size = 4e9
     clean = make_runtime(fabric, [0, 1, 2, 3]).run("all_gather", size)
     # Degrade node 2's rail-0 uplink to its ToR.
-    link = fabric.links[("node2.nic0", "tor0.0")]
-    original = link.bandwidth
+    (link,) = fabric.parallel_links[("node2.nic0", "tor0.0")]
+    original = fabric.links.bandwidth[link]
     try:
-        link.bandwidth = original / 4
+        fabric.links.bandwidth[link] = original / 4
         degraded = make_runtime(fabric, [0, 1, 2, 3]).run("all_gather", size)
     finally:
-        link.bandwidth = original
+        fabric.links.bandwidth[link] = original
     assert degraded.total_time > 2 * clean.total_time
     assert degraded.steps[0].slowest_pair == 2  # the pair leaving node 2
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.network import (
     Flow,
-    Link,
+    LinkTable,
     conflict_stats,
     ecmp_choice,
     expected_conflict_stats,
@@ -79,59 +79,56 @@ def test_validation_errors():
         expected_conflict_stats(4, 4, trials=0)
 
 
-def _links(n, bw):
-    return [Link(src=f"s{i}", dst=f"d{i}", bandwidth=bw) for i in range(n)]
-
-
 def test_max_min_single_bottleneck_shared_equally():
-    shared = Link(src="a", dst="b", bandwidth=10e9)
-    flows = [Flow(flow_id=i, path=[shared]) for i in range(4)]
-    rates = max_min_fair_rates(flows)
+    links = LinkTable(["a"], ["b"], 10e9)
+    flows = [Flow(flow_id=i, path=[0]) for i in range(4)]
+    rates = max_min_fair_rates(flows, links)
     for i in range(4):
         assert rates[i] == pytest.approx(2.5e9)
 
 
 def test_max_min_respects_demand_limits():
-    shared = Link(src="a", dst="b", bandwidth=10e9)
+    links = LinkTable(["a"], ["b"], 10e9)
     flows = [
-        Flow(flow_id=0, path=[shared], demand=1e9),
-        Flow(flow_id=1, path=[shared]),
+        Flow(flow_id=0, path=[0], demand=1e9),
+        Flow(flow_id=1, path=[0]),
     ]
-    rates = max_min_fair_rates(flows)
+    rates = max_min_fair_rates(flows, links)
     assert rates[0] == pytest.approx(1e9)
     assert rates[1] == pytest.approx(9e9)
 
 
 def test_max_min_multi_bottleneck():
-    narrow = Link(src="a", dst="b", bandwidth=2e9)
-    wide = Link(src="b", dst="c", bandwidth=10e9)
+    links = LinkTable(["a", "b"], ["b", "c"], [2e9, 10e9])
+    narrow, wide = 0, 1
     constrained = Flow(flow_id=0, path=[narrow, wide])
     free = Flow(flow_id=1, path=[wide])
-    rates = max_min_fair_rates([constrained, free])
+    rates = max_min_fair_rates([constrained, free], links)
     assert rates[0] == pytest.approx(2e9)
     assert rates[1] == pytest.approx(8e9)
 
 
 def test_empty_path_flow_gets_demand():
     f = Flow(flow_id=0, path=[], demand=5e9)
-    max_min_fair_rates([f])
+    max_min_fair_rates([f], LinkTable([], [], 1e9))
     assert f.rate == pytest.approx(5e9)
 
 
 def test_flow_over_down_link_raises():
-    dead = Link(src="a", dst="b", bandwidth=1e9, up=False)
+    links = LinkTable(["a"], ["b"], 1e9)
+    links.up[0] = False
     with pytest.raises(RuntimeError):
-        max_min_fair_rates([Flow(flow_id=0, path=[dead])])
+        max_min_fair_rates([Flow(flow_id=0, path=[0])], links)
 
 
 def test_transfer_time():
-    link = Link(src="a", dst="b", bandwidth=1e9, latency=1e-3)
-    flow = Flow(flow_id=0, path=[link])
-    max_min_fair_rates([flow])
-    assert transfer_time(1e9, flow) == pytest.approx(1.0 + 1e-3)
-    assert transfer_time(0, flow) == 0.0
+    links = LinkTable(["a"], ["b"], 1e9, latency=1e-3)
+    flow = Flow(flow_id=0, path=[0])
+    max_min_fair_rates([flow], links)
+    assert transfer_time(1e9, flow, links) == pytest.approx(1.0 + 1e-3)
+    assert transfer_time(0, flow, links) == 0.0
     with pytest.raises(ValueError):
-        transfer_time(-1, flow)
+        transfer_time(-1, flow, links)
 
 
 def test_flow_demand_validation():

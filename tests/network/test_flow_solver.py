@@ -1,25 +1,16 @@
-"""Tests for the vectorized max-min solver and its incremental wrapper."""
-
-import pickle
+"""Tests for the vectorized max-min solver against its reference oracle."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.network import (
-    Flow,
-    IncrementalMaxMinSolver,
-    Link,
-    max_min_fair_rates,
-    transfer_time,
-)
+from repro.network import Flow, LinkTable, max_min_fair_rates, transfer_time
 from repro.network.flow import max_min_fair_rates_reference
 
 
 def _links(bandwidths):
-    return [
-        Link(src=f"s{i}", dst=f"d{i}", bandwidth=bw) for i, bw in enumerate(bandwidths)
-    ]
+    n = len(bandwidths)
+    return LinkTable([f"s{i}" for i in range(n)], [f"d{i}" for i in range(n)], bandwidths)
 
 
 # -- vectorized vs reference ---------------------------------------------------
@@ -45,22 +36,19 @@ def flow_sets(draw):
     return bandwidths, specs
 
 
-def _build(bandwidths, specs):
-    links = _links(bandwidths)
-    return [
-        Flow(flow_id=i, path=[links[li] for li in path], demand=demand)
-        for i, (path, demand) in enumerate(specs)
-    ]
+def _build(specs):
+    return [Flow(flow_id=i, path=path, demand=demand) for i, (path, demand) in enumerate(specs)]
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(flow_sets())
 def test_vectorized_matches_reference(flow_set):
     bandwidths, specs = flow_set
-    ref_flows = _build(bandwidths, specs)
-    vec_flows = _build(bandwidths, specs)
-    ref = max_min_fair_rates_reference(ref_flows)
-    vec = max_min_fair_rates(vec_flows, solver="vectorized")
+    links = _links(bandwidths)
+    ref_flows = _build(specs)
+    vec_flows = _build(specs)
+    ref = max_min_fair_rates_reference(ref_flows, links)
+    vec = max_min_fair_rates(vec_flows, links)
     assert set(ref) == set(vec)
     for fid, ref_rate in ref.items():
         assert vec[fid] == pytest.approx(ref_rate, rel=1e-9), (
@@ -75,7 +63,8 @@ def test_vectorized_matches_reference(flow_set):
 def test_multi_bottleneck_levels_match():
     # Three saturation levels: narrow (2), medium (6 shared by two),
     # wide (20) — the classic progressive-filling staircase.
-    narrow, medium, wide = _links([2.0, 6.0, 20.0])
+    links = _links([2.0, 6.0, 20.0])
+    narrow, medium, wide = 0, 1, 2
     specs = [
         [narrow, medium, wide],
         [medium, wide],
@@ -83,8 +72,8 @@ def test_multi_bottleneck_levels_match():
     ]
     ref = [Flow(flow_id=i, path=list(p)) for i, p in enumerate(specs)]
     vec = [Flow(flow_id=i, path=list(p)) for i, p in enumerate(specs)]
-    r = max_min_fair_rates_reference(ref)
-    v = max_min_fair_rates(vec, solver="vectorized")
+    r = max_min_fair_rates_reference(ref, links)
+    v = max_min_fair_rates(vec, links)
     assert r == v
     assert v[0] == pytest.approx(2.0)
     assert v[1] == pytest.approx(4.0)
@@ -94,15 +83,15 @@ def test_multi_bottleneck_levels_match():
 def test_repeated_link_in_path_counts_twice():
     # A path traversing the same link twice gets half its bandwidth —
     # in both the general water-fill and the single-flow closed form.
-    link = _links([10.0])[0]
-    lone = [Flow(flow_id=0, path=[link, link])]
-    assert max_min_fair_rates(lone, solver="vectorized")[0] == pytest.approx(5.0)
+    links = _links([10.0])
+    lone = [Flow(flow_id=0, path=[0, 0])]
+    assert max_min_fair_rates(lone, links)[0] == pytest.approx(5.0)
     pair = [
-        Flow(flow_id=0, path=[link, link]),
-        Flow(flow_id=1, path=[link]),
+        Flow(flow_id=0, path=[0, 0]),
+        Flow(flow_id=1, path=[0]),
     ]
-    ref = max_min_fair_rates_reference([Flow(f.flow_id, list(f.path)) for f in pair])
-    vec = max_min_fair_rates(pair, solver="vectorized")
+    ref = max_min_fair_rates_reference([Flow(f.flow_id, f.path) for f in pair], links)
+    vec = max_min_fair_rates(pair, links)
     for fid in ref:
         assert vec[fid] == pytest.approx(ref[fid], rel=1e-9)
 
@@ -111,86 +100,21 @@ def test_empty_path_unbounded_demand_prices_latency_only():
     # Regression: a same-host flow with the default (infinite) demand
     # used to get rate 0.0, making transfer_time raise for healthy
     # local traffic.  It must price as latency-only instead.
+    links = _links([1e9])
     flow = Flow(flow_id=0, path=[])
-    for solver in ("vectorized", "reference"):
+    for solve in (max_min_fair_rates, max_min_fair_rates_reference):
         flow.rate = 0.0
-        max_min_fair_rates([flow], solver=solver)
+        solve([flow], links)
         assert flow.rate == float("inf")
-        assert transfer_time(1e9, flow) == 0.0
-
-
-def test_solver_dispatch_validates_name():
-    with pytest.raises(ValueError):
-        max_min_fair_rates([], solver="quantum")
+        assert transfer_time(1e9, flow, links) == 0.0
 
 
 def test_vectorized_raises_on_down_link():
-    dead = Link(src="a", dst="b", bandwidth=1e9, up=False)
-    with pytest.raises(RuntimeError):
-        max_min_fair_rates([Flow(flow_id=0, path=[dead])], solver="vectorized")
-    with pytest.raises(RuntimeError):
+    links = _links([1e9, 1e9])
+    links.up[1] = False
+    with pytest.raises(RuntimeError, match="s1->d1"):
+        max_min_fair_rates([Flow(flow_id=0, path=[1])], links)
+    with pytest.raises(RuntimeError, match="flow 1 routed over down link s1->d1"):
         max_min_fair_rates(
-            [Flow(flow_id=0, path=[dead]), Flow(flow_id=1, path=[dead])],
-            solver="vectorized",
+            [Flow(flow_id=0, path=[0]), Flow(flow_id=1, path=[0, 1])], links
         )
-
-
-# -- incremental solver --------------------------------------------------------
-
-
-def test_incremental_caches_across_identical_solves():
-    shared = _links([10.0])[0]
-    flows = [Flow(flow_id=i, path=[shared]) for i in range(4)]
-    solver = IncrementalMaxMinSolver(flows)
-    first = solver.solve()
-    assert first[0] == pytest.approx(2.5)
-    assert solver.solve() is first  # cached object, no re-solve
-    assert solver.solves == 1
-
-
-def test_incremental_matches_batch_solver_after_edits():
-    a, b = _links([10.0, 4.0])
-    solver = IncrementalMaxMinSolver(
-        [Flow(flow_id=0, path=[a]), Flow(flow_id=1, path=[a])]
-    )
-    solver.solve()
-    solver.add_flow(Flow(flow_id=2, path=[a, b]))
-    solver.move_flow(1, [b])
-    solver.remove_flow(0)
-    rates = solver.solve()
-    fresh = [Flow(flow_id=1, path=[b]), Flow(flow_id=2, path=[a, b])]
-    expected = max_min_fair_rates(fresh)
-    assert set(rates) == {1, 2}
-    for fid in rates:
-        assert rates[fid] == pytest.approx(expected[fid], rel=1e-9)
-
-
-def test_incremental_invalidated_by_link_flap():
-    a, b = _links([10.0, 10.0])
-    solver = IncrementalMaxMinSolver(
-        [Flow(flow_id=0, path=[a]), Flow(flow_id=1, path=[b])]
-    )
-    solver.solve()
-    assert solver.solves == 1
-    b.set_state(False)
-    with pytest.raises(RuntimeError):  # stale allocation not replayed
-        solver.solve()
-    b.up = True  # direct attribute write also notifies the watcher
-    assert solver.solve()[1] == pytest.approx(10.0)
-    assert solver.solves >= 2
-
-
-def test_incremental_rejects_duplicate_flow_ids():
-    link = _links([1e9])[0]
-    solver = IncrementalMaxMinSolver([Flow(flow_id=0, path=[link])])
-    with pytest.raises(ValueError):
-        solver.add_flow(Flow(flow_id=0, path=[link]))
-
-
-def test_link_watchers_do_not_pickle():
-    link = _links([1e9])[0]
-    solver = IncrementalMaxMinSolver([Flow(flow_id=0, path=[link])])
-    solver.solve()
-    clone = pickle.loads(pickle.dumps(link))
-    assert clone.bandwidth == link.bandwidth
-    assert "_watchers" not in clone.__dict__

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.units import Gbps
-from repro.network import ClosFabric, DuplexLink, Link, TOMAHAWK4, agg_role, tor_role
+from repro.network import ClosFabric, LinkTable, TOMAHAWK4, agg_role, tor_role
 
 
 def make_fabric(n_nodes=128, **kw):
@@ -46,8 +46,8 @@ def test_fabric_pods_and_tors():
 
 def test_nic_links_at_200g():
     fabric = make_fabric(n_nodes=64)
-    link = fabric.links[("node0.nic0", "tor0.0")]
-    assert link.bandwidth == pytest.approx(200 * Gbps)
+    (link,) = fabric.parallel_links[("node0.nic0", "tor0.0")]
+    assert fabric.links.bandwidth[link] == pytest.approx(200 * Gbps)
 
 
 def test_same_tor_within_pod():
@@ -65,35 +65,37 @@ def test_hop_counts():
 
 def test_intra_pod_path_structure():
     fabric = make_fabric(n_nodes=128)
+    links = fabric.links
     path = fabric.path(0, 1, rail=3, flow_id=42)
     assert len(path) == 2
-    assert path[0].src == "node0.nic3"
-    assert path[0].dst == "tor0.3"
-    assert path[1].dst == "node1.nic3"
+    assert links.src[path[0]] == "node0.nic3"
+    assert links.dst[path[0]] == "tor0.3"
+    assert links.dst[path[1]] == "node1.nic3"
 
 
 def test_cross_pod_path_structure():
     fabric = make_fabric(n_nodes=128)
+    src, dst = fabric.links.src, fabric.links.dst
     path = fabric.path(0, 100, rail=0, flow_id=7)
     assert len(path) == 6
-    assert path[0].src == "node0.nic0"
-    assert path[1].src == "tor0.0"
-    assert path[2].src.startswith("agg0.")
-    assert path[3].src.startswith("spine")
-    assert path[4].src.startswith("agg1.")
-    assert path[5].dst == "node100.nic0"
+    assert src[path[0]] == "node0.nic0"
+    assert src[path[1]] == "tor0.0"
+    assert src[path[2]].startswith("agg0.")
+    assert src[path[3]].startswith("spine")
+    assert src[path[4]].startswith("agg1.")
+    assert dst[path[5]] == "node100.nic0"
 
 
 def test_path_is_deterministic_per_flow():
     fabric = make_fabric(n_nodes=128)
     p1 = fabric.path(0, 100, rail=0, flow_id=7)
     p2 = fabric.path(0, 100, rail=0, flow_id=7)
-    assert [l.name for l in p1] == [l.name for l in p2]
+    assert p1 == p2
 
 
 def test_different_flows_spread_over_uplinks():
     fabric = make_fabric(n_nodes=128)
-    chosen = {fabric.path(0, 100, rail=0, flow_id=f)[2].dst for f in range(64)}
+    chosen = {fabric.links.dst[fabric.path(0, 100, rail=0, flow_id=f)[2]] for f in range(64)}
     assert len(chosen) > 1  # multiple spines used
 
 
@@ -103,7 +105,7 @@ def test_path_validation():
         fabric.path(0, 64, rail=0)
     with pytest.raises(ValueError):
         fabric.path(0, 1, rail=8)
-    assert fabric.path(3, 3, rail=0) == []
+    assert fabric.path(3, 3, rail=0) == ()
 
 
 def test_bisection_bandwidth_positive():
@@ -112,23 +114,33 @@ def test_bisection_bandwidth_positive():
 
 
 def test_link_validation():
+    with pytest.raises(ValueError, match="a->b must have positive bandwidth"):
+        LinkTable(["a"], ["b"], 0)
+    with pytest.raises(ValueError, match="c->d has negative latency"):
+        LinkTable(["a", "c"], ["b", "d"], 1.0, latency=[1e-6, -1])
     with pytest.raises(ValueError):
-        Link(src="a", dst="b", bandwidth=0)
+        LinkTable(["a"], ["b", "c"], 1.0)
+    links = LinkTable(["a"], ["b"], 1e9)
+    links.carry([0, 0], 100.0)  # a path crossing the link twice
+    assert links.carried[0] == 200.0
     with pytest.raises(ValueError):
-        Link(src="a", dst="b", bandwidth=1.0, latency=-1)
-    link = Link(src="a", dst="b", bandwidth=1e9)
-    link.carry(100.0)
-    assert link.bytes_carried == 100.0
-    with pytest.raises(ValueError):
-        link.carry(-1.0)
+        links.carry([0], -1.0)
 
 
 def test_duplex_link_state():
-    duplex = DuplexLink(Link(src="a", dst="b", bandwidth=1e9))
-    assert duplex.up
-    duplex.set_state(False)
-    assert not duplex.forward.up and not duplex.reverse.up
-    assert not duplex.up
+    # Parallel link k of a -> b and link k of b -> a are the two
+    # directions of one cable; both are plain ids into the fabric table.
+    fabric = make_fabric(n_nodes=64)
+    links = fabric.links
+    forward = fabric.parallel_links[("tor0.0", "agg0.0")][1]
+    reverse = fabric.parallel_links[("agg0.0", "tor0.0")][1]
+    assert (links.src[forward], links.dst[forward]) == ("tor0.0", "agg0.0")
+    assert (links.src[reverse], links.dst[reverse]) == ("agg0.0", "tor0.0")
+    clean = fabric.fingerprint()
+    links.up[[forward, reverse]] = False
+    assert fabric.degraded() and not links.up[forward] and not links.up[reverse]
+    links.up[[forward, reverse]] = True
+    assert not fabric.degraded() and fabric.fingerprint() == clean
 
 
 def test_fabric_validation():

@@ -9,7 +9,7 @@ from repro.core.features import MEGASCALE_ISO_BATCH
 from repro.exec import run_tasks
 from repro.fault import CheckpointPlanner, FaultInjector, ProductionRun
 from repro.model import GPT_13B, GPT_175B
-from repro.network import DuplexLink, Link, LinkFlapper, simulate_bottleneck
+from repro.network import LinkFlapper, LinkTable, simulate_bottleneck
 from repro.network.topology import ClosFabric
 from repro.collectives.runtime import RingCollectiveRuntime
 from repro.observability import (
@@ -272,7 +272,7 @@ def test_congestion_emits_utilization_samples():
 def test_flapper_emits_instants():
     hub = TelemetryHub()
     sim = Simulator()
-    link = DuplexLink(Link(src="a", dst="b", bandwidth=1e9))
+    link = (LinkTable(["a", "b"], ["b", "a"], 1e9), (0, 1))
     rng = RandomStreams(seed=1).stream("flaps")
     flapper = LinkFlapper(
         sim, link, mean_interval=10.0, mean_down_time=2.0, rng=rng, hub=hub

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.collectives import ring_all_gather, ring_all_reduce, ring_reduce_scatter
 from repro.model import GPT_13B
 from repro.model.memory import memory_breakdown
-from repro.network import Flow, Link, max_min_fair_rates
+from repro.network import Flow, LinkTable, max_min_fair_rates
 from repro.parallel import (
     ParallelPlan,
     backward_dependency,
@@ -194,9 +194,9 @@ def test_collective_cost_monotone_in_size_and_bandwidth(size, n, bw):
     st.floats(min_value=1e6, max_value=1e11),
 )
 def test_max_min_single_link_conserves_capacity(n_flows, capacity):
-    link = Link(src="a", dst="b", bandwidth=capacity)
-    flows = [Flow(flow_id=i, path=[link]) for i in range(n_flows)]
-    rates = max_min_fair_rates(flows)
+    links = LinkTable(["a"], ["b"], capacity)
+    flows = [Flow(flow_id=i, path=[0]) for i in range(n_flows)]
+    rates = max_min_fair_rates(flows, links)
     total = sum(rates.values())
     assert total <= capacity * (1 + 1e-9)
     assert total == pytest.approx(capacity, rel=1e-6)  # work conserving
@@ -208,9 +208,9 @@ def test_max_min_single_link_conserves_capacity(n_flows, capacity):
 @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
 @given(st.lists(st.floats(min_value=1e6, max_value=1e10), min_size=1, max_size=8))
 def test_max_min_demand_limited_flows_get_their_demand(demands):
-    link = Link(src="a", dst="b", bandwidth=2e11)  # never the bottleneck
-    flows = [Flow(flow_id=i, path=[link], demand=d) for i, d in enumerate(demands)]
-    rates = max_min_fair_rates(flows)
+    links = LinkTable(["a"], ["b"], 2e11)  # never the bottleneck
+    flows = [Flow(flow_id=i, path=[0], demand=d) for i, d in enumerate(demands)]
+    rates = max_min_fair_rates(flows, links)
     for i, d in enumerate(demands):
         assert rates[i] == pytest.approx(d, rel=1e-9)
 

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.collectives.hierarchical import hierarchical_all_reduce
-from repro.network import Link
+from repro.network import LinkTable
 from repro.network.transfers import TransferEngine
 from repro.sim import Simulator
 from repro.training.priority import CommOp, exposed_stall, fifo_order, priority_order
@@ -19,13 +19,13 @@ from repro.training.priority import CommOp, exposed_stall, fifo_order, priority_
 )
 def test_transfer_engine_conserves_bytes_and_orders_finishes(sizes, bandwidth):
     sim = Simulator()
-    engine = TransferEngine(sim)
-    link = Link(src="a", dst="b", bandwidth=bandwidth)
-    transfers = [engine.submit([link], size=s) for s in sizes]
+    links = LinkTable(["a"], ["b"], bandwidth)
+    engine = TransferEngine(sim, links)
+    transfers = [engine.submit([0], size=s) for s in sizes]
     engine.run_to_completion()
     # All complete, carrying exactly the requested bytes.
     assert all(t.finished for t in transfers)
-    assert link.bytes_carried == pytest.approx(sum(sizes), rel=1e-3)
+    assert links.carried[0] == pytest.approx(sum(sizes), rel=1e-3)
     # With simultaneous starts and fair sharing, smaller transfers never
     # finish after strictly larger ones.
     by_size = sorted(transfers, key=lambda t: t.size)
