@@ -4,7 +4,11 @@ Executes one optimizer step of a 3D-parallel job on the simulated
 substrate and returns its wall time with a full breakdown.  The pipeline
 is executed task-by-task against the real interleaved-1F1B dependency
 structure (bubbles, warm-up stalls and straggler effects *emerge*; they
-are not closed-form estimates); TP/SP and DP communication exposure come
+are not closed-form estimates).  Each stage runs the integer program of
+:func:`repro.parallel.pipeline.stage_program`: finish times live in one
+float list indexed by task key, and a per-call table gives each (stage,
+cost class) its duration and sender block, so no task objects or
+dependency tuples are built.  TP/SP and DP communication exposure come
 from the overlap models of :mod:`repro.training.overlap`.
 """
 
@@ -20,11 +24,7 @@ from ..hardware.gpu import AMPERE, GpuSpec
 from ..model.blocks import activation_bytes, block_cost, embedding_cost, logits_block_cost
 from ..model.flops import iteration_model_flops
 from ..model.transformer import ModelSpec
-from ..parallel.pipeline import (
-    backward_dependency,
-    forward_dependency,
-    interleaved_schedule,
-)
+from ..parallel.pipeline import PHASES, stage_program
 from ..parallel.plan import ParallelPlan
 from ..parallel.zero import dp_comm_events, optimizer_step_time
 from .datapipe import data_pipeline_cost, overlap_window
@@ -226,9 +226,11 @@ class IterationEngine:
     ) -> Tuple[float, float]:
         """(makespan, max per-stage serial compute) for ``m`` micro-batches.
 
-        Executes every stage's interleaved-1F1B task list against the
-        cross-stage activation/gradient dependencies.  ``stage_speed``
-        derates each stage's compute (straggler hosts).  Pass a
+        Executes every stage's interleaved-1F1B program (see
+        :func:`~repro.parallel.pipeline.stage_program`) against the
+        cross-stage activation/gradient dependencies, stage by stage,
+        each stage running until it blocks on an upstream task.
+        ``stage_speed`` derates each stage's compute (straggler hosts).  Pass a
         :class:`~repro.sim.TraceRecorder` as ``trace`` to record every
         task as a span (rank = pipeline stage) for the Figure 8 timeline.
         """
@@ -239,73 +241,73 @@ class IterationEngine:
         if any(s <= 0 for s in speeds):
             raise ValueError("stage speed factors must be positive")
 
-        schedules = [interleaved_schedule(p, v, m, s) for s in range(p)]
-        warmup_end = [next((i for i, t in enumerate(sch) if t.kind == "B"), len(sch)) for sch in schedules]
-        cooldown_start = [
-            max((i for i, t in enumerate(sch) if t.kind == "F"), default=-1) + 1
-            for sch in schedules
-        ]
+        # (stage, cost class) -> (duration, send block); classes are
+        # enumerated kind-major, then chunk, then phase (see stage_program).
+        p2p = self.p2p_time
+        costs = []
+        for s in range(p):
+            row = []
+            for kind in ("F", "B"):
+                for chunk in range(v):
+                    duration = self.task_time(s, kind, chunk) / speeds[s]
+                    sends = self._task_sends(s, kind, chunk)
+                    for phase in PHASES:
+                        send_block = self.pp.sender_block_time(p2p, phase) if sends else 0.0
+                        row.append((duration, send_block))
+            costs.append(row)
 
-        done: Dict[Tuple[int, str, int, int], float] = {}
+        programs = [stage_program(p, v, m, s) for s in range(p)]
+        per_stage = 2 * v * m
+        end = [-1.0] * (p * per_stage)  # task key -> finish time; < 0 until run
         ptr = [0] * p
         clock = [0.0] * p
         busy = [0.0] * p
-        total_tasks = sum(len(s) for s in schedules)
-        completed = 0
-        while completed < total_tasks:
+        remaining = p * per_stage
+        while remaining:
             progressed = False
             for s in range(p):
-                while ptr[s] < len(schedules[s]):
-                    task = schedules[s][ptr[s]]
-                    if task.kind == "F":
-                        dep = forward_dependency(p, v, s, task)
+                keys, deps, classes = programs[s]
+                row = costs[s]
+                i = first = ptr[s]
+                t, b = clock[s], busy[s]
+                while i < per_stage:
+                    d = deps[i]
+                    if d < 0:
+                        ready = 0.0
                     else:
-                        dep = backward_dependency(p, v, s, task)
-                    ready = 0.0
-                    if dep is not None:
-                        dep_stage, dep_task = dep
-                        key = (dep_stage,) + dep_task.key
-                        if key not in done:
+                        ready = end[d]
+                        if ready < 0.0:
                             break  # blocked on an upstream task
-                        ready = done[key] + self.p2p_time
-                    duration = self.task_time(s, task.kind, task.chunk) / speeds[s]
-                    index = ptr[s]
-                    if index < warmup_end[s]:
-                        phase = "warmup"
-                    elif index >= cooldown_start[s]:
-                        phase = "cooldown"
-                    else:
-                        phase = "steady"
-                    send_block = (
-                        self.pp.sender_block_time(self.p2p_time, phase)
-                        if self._task_sends(s, task.kind, task.chunk)
-                        else 0.0
-                    )
-                    start = max(clock[s], ready)
-                    end = start + duration
-                    done[(s,) + task.key] = end
+                        ready += p2p
+                    duration, send_block = row[classes[i]]
+                    start = t if t >= ready else ready
+                    finish = start + duration
+                    key = keys[i]
+                    end[key] = finish
                     if trace is not None:
                         trace.record(
-                            task.kind,
+                            "B" if key // (v * m) % 2 else "F",
                             rank=s,
                             start=start,
-                            end=end,
+                            end=finish,
                             stream="compute",
-                            microbatch=task.microbatch,
-                            chunk=task.chunk,
+                            microbatch=key % m,
+                            chunk=key // m % v,
                         )
                         if send_block:
                             trace.record(
                                 "send",
                                 rank=s,
-                                start=end,
-                                end=end + send_block,
+                                start=finish,
+                                end=finish + send_block,
                                 stream="comm",
                             )
-                    clock[s] = end + send_block
-                    busy[s] += duration + send_block
-                    ptr[s] += 1
-                    completed += 1
+                    t = finish + send_block
+                    b += duration + send_block
+                    i += 1
+                if i > first:
+                    ptr[s], clock[s], busy[s] = i, t, b
+                    remaining -= i - first
                     progressed = True
             if not progressed:
                 raise RuntimeError("pipeline deadlocked: invalid schedule/dependency")
