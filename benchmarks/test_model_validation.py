@@ -2,7 +2,7 @@
 
 Not a paper table — a fidelity check the reproduction owes its users:
 the alpha-beta collective costs (which price every Table 2 cell) must
-agree with (a) step-by-step ring execution over real fabric links and
+agree with (a) rings routed flow by flow over real fabric links and
 (b) the dynamic transfer engine with max-min sharing, on clean fabrics.
 Degraded fabrics must diverge in the *right direction*.
 """
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from conftest import print_banner
 
-from repro.collectives import ring_all_gather, ring_all_reduce
-from repro.collectives.runtime import RingCollectiveRuntime
+from repro.collectives import FabricCostModel, ring_all_gather, ring_all_reduce
 from repro.core.units import Gbps
 from repro.network import ClosFabric
 from repro.network.transfers import TransferEngine
@@ -21,11 +20,13 @@ from repro.sim import Simulator
 
 def compute_validation():
     fabric = ClosFabric(n_nodes=64)
+    # Ideal transport and no PFC derating: on a clean pod the routed ring
+    # must land on the alpha-beta price.
+    model = FabricCostModel(fabric, cc_efficiency=1.0, penalty=None)
     results = {}
     for n_ranks in (2, 4, 8):
         for size in (256e6, 2e9, 8e9):
-            runtime = RingCollectiveRuntime(fabric, node_of_rank=list(range(n_ranks)))
-            executed = runtime.run("all_gather", size).total_time
+            executed = model.collective_cost("all_gather", size, range(n_ranks)).time
             analytic = ring_all_gather(size, n_ranks, 200 * Gbps)
             results[(n_ranks, size)] = (analytic, executed)
 
@@ -41,9 +42,7 @@ def compute_validation():
     (link,) = fabric.parallel_links[("node1.nic0", "tor0.0")]
     original = fabric.links.bandwidth[link]
     fabric.links.bandwidth[link] = original / 3
-    degraded = RingCollectiveRuntime(fabric, node_of_rank=[0, 1, 2, 3]).run(
-        "all_reduce", 2e9
-    ).total_time
+    degraded = model.collective_cost("all_reduce", 2e9, [0, 1, 2, 3]).time
     fabric.links.bandwidth[link] = original
     clean_analytic = ring_all_reduce(2e9, 4, 200 * Gbps)
     return results, p2p, (clean_analytic, degraded)

@@ -3,9 +3,10 @@
 
 Instruments every subsystem into a single :class:`TelemetryHub` — a
 training burst (per-segment spans, MFU gauges), a ring reduce-scatter
-over a Clos fabric slice, a congestion experiment, then a fault-injected
-production week with the two-tier monitors attached live — and dumps one
-Perfetto-loadable Chrome-trace document plus a JSONL metrics sidecar.
+priced over a Clos fabric slice, a congestion experiment, then a
+fault-injected production week with the two-tier monitors attached
+live — and dumps one Perfetto-loadable Chrome-trace document plus a
+JSONL metrics sidecar.
 
     python examples/telemetry_pipeline.py [trace.json] [weeks]
 
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from repro.collectives.runtime import RingCollectiveRuntime
+from repro.collectives import FabricCostModel
 from repro.core.features import MEGASCALE_ISO_BATCH
 from repro.fault import CheckpointPlanner, CorrelatedFaultInjector, ProductionRun
 from repro.hardware import Cluster
@@ -48,8 +49,9 @@ def main() -> None:
 
     # 2. One DP-shard's gradient reduce-scatter over a real fabric slice.
     fabric = ClosFabric(n_nodes=8, nodes_per_pod=8)
-    runtime = RingCollectiveRuntime(fabric, node_of_rank=list(range(8)))
-    runtime.run("reduce_scatter", 2 * GPT_175B.n_params / (plan.tp * plan.pp), hub=hub)
+    FabricCostModel(fabric).collective_cost(
+        "reduce_scatter", 2 * GPT_175B.n_params / (plan.tp * plan.pp), range(8), hub=hub
+    )
 
     # 3. Network posture: link-utilization and queue gauges from the
     #    congestion model on the network lane.

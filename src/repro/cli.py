@@ -146,12 +146,13 @@ def _telemetry_prologue(hub, model, plan, global_batch: int, seed: int) -> None:
 
     A production trace should show the whole system, not just the fault
     timeline: a short instrumented training burst (segment spans + MFU
-    gauges), one ring collective over a real fabric slice (bytes and
-    algorithm attrs), and a congestion-posture experiment (utilization
-    and queue gauges) all land on their own lanes before the multi-week
-    fault/monitor timeline plays out.
+    gauges), one ring collective priced over a real fabric slice (a
+    routed-flow span plus link-utilization gauges), and a
+    congestion-posture experiment (utilization and queue gauges) all
+    land on their own lanes before the multi-week fault/monitor
+    timeline plays out.
     """
-    from .collectives.runtime import RingCollectiveRuntime
+    from .collectives.fabric import FabricCostModel
     from .core.features import MEGASCALE_ISO_BATCH
     from .network.congestion import simulate_bottleneck
     from .network.topology import ClosFabric
@@ -164,9 +165,10 @@ def _telemetry_prologue(hub, model, plan, global_batch: int, seed: int) -> None:
     # One DP-ring reduce-scatter's worth of gradient traffic on a small
     # fabric slice (8 nodes, one rail).
     fabric = ClosFabric(n_nodes=8, nodes_per_pod=8)
-    runtime = RingCollectiveRuntime(fabric, node_of_rank=list(range(8)))
     shard_bytes = 2 * model.n_params / max(1, plan.tp * plan.pp)
-    runtime.run("reduce_scatter", shard_bytes, hub=hub)
+    FabricCostModel(fabric).collective_cost(
+        "reduce_scatter", shard_bytes, range(8), hub=hub
+    )
     simulate_bottleneck("megascale", n_flows=8, duration=0.01, hub=hub)
 
 

@@ -29,9 +29,7 @@ from .kvstore import (
 from .primitives import (
     COST_BACKENDS,
     INTER_NODE_LATENCY,
-    CollectiveCost,
     all_to_all,
-    collective_cost,
     point_to_point,
     ring_all_gather,
     ring_all_reduce,
@@ -42,7 +40,6 @@ from .primitives import (
 
 __all__ = [
     "COST_BACKENDS",
-    "CollectiveCost",
     "DEFAULT_CC_EFFICIENCY",
     "DEFAULT_PFC_PENALTY",
     "FabricCollectiveCost",
@@ -66,7 +63,6 @@ __all__ = [
     "TCP_STORE",
     "all_to_all",
     "build_comm_model",
-    "collective_cost",
     "count_groups",
     "group_init_time",
     "init_time_seconds",

@@ -26,7 +26,7 @@ hops, ECMP link sharing, and PFC penalties on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exec.memo import get_cache
 from ..network.flow import Flow, max_min_fair_rates
@@ -42,6 +42,7 @@ __all__ = [
     "PfcPenaltyModel",
     "RING_SOFTWARE_LATENCY",
     "RoutedStepCost",
+    "concurrent_rings_time",
     "fabric_collective_cost",
     "price_routed_step",
     "routed_step_cost",
@@ -143,9 +144,8 @@ def routed_step_cost(
     Paths are link ids into ``links``.  Every non-empty path becomes
     one flow (empty paths are same-host pairs, priced elsewhere as
     NVLink traffic); flows share links max-min fairly.  ``demand``
-    caps each flow at its NIC line rate (None = unbounded, the event
-    runtime's historical behaviour — PFC penalties then never apply,
-    since oversubscription is undefined).
+    caps each flow at its NIC line rate (None = unbounded — PFC
+    penalties then never apply, since oversubscription is undefined).
     The step ends when the slowest flow finishes.
     """
     if segment_bytes < 0:
@@ -183,9 +183,9 @@ def price_routed_step(
 ) -> RoutedStepCost:
     """Step cost of already-solved flows (rates assigned, paths non-empty).
 
-    Split out of :func:`routed_step_cost` so the event runtime, which
-    solves one allocation for all of a ring's identical steps, can
-    price them without re-solving max-min sharing.
+    Split out of :func:`routed_step_cost` so a caller that routes its
+    own flow set (:func:`concurrent_rings_time`, several rings at once)
+    can price one solved allocation without re-solving max-min sharing.
     """
     if not flows:
         return RoutedStepCost(software_latency, 0, 0, 0.0, 0.0, 0, 0)
@@ -421,3 +421,38 @@ def fabric_collective_cost(
     result = model.collective_cost(kind, size, nodes, hub=hub)
     cache.put(key, result)
     return result
+
+
+def concurrent_rings_time(
+    fabric: ClosFabric,
+    rings: List[Sequence[int]],
+    size: float,
+    rails: Optional[List[int]] = None,
+) -> float:
+    """One ring step of several *simultaneous* rings sharing the fabric.
+
+    Used to study DP-ring contention: all rings' neighbour transfers are
+    active at once (one global ECMP flow id per transfer, unbounded
+    demand, no software latency); the returned time is the slowest
+    transfer's, i.e. the stall every ring observes at each pipeline step.
+    """
+    if not rings:
+        raise ValueError("need at least one ring")
+    if size < 0:
+        raise ValueError("size must be non-negative")
+    rails = rails if rails is not None else [i % fabric.rails for i in range(len(rings))]
+    flows: List[Flow] = []
+    fid = 0
+    for ring, rail in zip(rings, rails):
+        n = len(ring)
+        for i in range(n):
+            src, dst = ring[i], ring[(i + 1) % n]
+            if src == dst:
+                continue
+            flows.append(Flow(flow_id=fid, path=fabric.path(src, dst, rail, flow_id=fid)))
+            fid += 1
+    if not flows:
+        return 0.0
+    max_min_fair_rates(flows, fabric.links)
+    segment = size / max(len(r) for r in rings)
+    return price_routed_step(flows, fabric.links, segment, software_latency=0.0).duration

@@ -6,10 +6,9 @@ feature-set) points.  This package makes them cheap twice over:
 * :class:`SweepExecutor` / :func:`run_tasks` fan points out over a
   ``ProcessPoolExecutor`` with deterministic, insertion-ordered result
   merging (``workers=0`` = exact serial path, the default).
-* :func:`repro.exec.memo.memoized` wraps the pure cost models
-  (``block_cost``, ``collective_cost``, ``optimizer_step_time``) in
-  process-local caches whose hit/miss counters surface through
-  :class:`SweepStats`.
+* :mod:`repro.exec.memo` keeps the pure cost models (``block_cost``,
+  ``optimizer_step_time``, ``fabric_collective_cost``) in process-local
+  caches whose hit/miss counters surface through :class:`SweepStats`.
 
 Usage::
 

@@ -410,21 +410,6 @@ class ProductionRun:
 
     # -- per-incident latencies ------------------------------------------------
 
-    def replacement_overhead(self, needed: int, spare_count: Optional[int]) -> float:
-        """Replacement wall time given spare availability.
-
-        ``spare_count=None`` models an effectively infinite pool (the
-        legacy behaviour).  An exhausted pool pays full provisioning —
-        unless the elastic path sidesteps replacement entirely, which the
-        incident resolver decides.
-        """
-        if needed == 0:
-            return 0.0
-        cfg = self.config
-        if spare_count is None or spare_count >= needed:
-            return cfg.kubernetes_replacement_time
-        return cfg.spare_provisioning_time
-
     def _checkpoint_load(
         self, planner: Optional[CheckpointPlanner], bandwidth_factor: float
     ) -> Tuple[float, int, Optional[CheckpointLoadOutcome]]:
@@ -514,20 +499,6 @@ class ProductionRun:
             replan=decision,
             load=load_outcome,
         )
-
-    def recovery_downtime(
-        self, event: FaultEvent, spare_count: Optional[int] = None
-    ) -> Tuple[float, bool, int]:
-        """(downtime after detection, auto?, lost iterations).
-
-        Compatibility wrapper over :meth:`resolve_incident`; consults the
-        cluster's spare pool when one is attached so replacement time
-        reflects availability.
-        """
-        if spare_count is None and self.cluster is not None:
-            spare_count = self.cluster.spare_count
-        outcome = self.resolve_incident(event, spares_left=spare_count)
-        return outcome.downtime, outcome.auto, outcome.lost_iterations
 
     # -- the run -------------------------------------------------------------------
 

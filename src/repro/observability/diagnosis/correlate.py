@@ -172,7 +172,7 @@ def network_candidates(view: TelemetryView) -> List[Candidate]:
 
 
 def collective_candidates(view: TelemetryView) -> List[Candidate]:
-    """Executed collectives whose routing shows an ECMP hash collision."""
+    """Routed collectives whose flows show an ECMP hash collision."""
     out: List[Candidate] = []
     for span in view.spans("collectives"):
         load = int(span.attr("max_link_load") or 0)

@@ -64,7 +64,7 @@ def run_scenario(name: str, seed: int = 0, n_steps: int = 24) -> TelemetryHub:
     """Emit one scenario's full telemetry; returns the populated hub."""
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; pick from {SCENARIOS}")
-    from ...collectives.runtime import RingCollectiveRuntime
+    from ...collectives.fabric import FabricCostModel
     from ...core.features import MEGASCALE_ISO_BATCH
     from ...fault.driver import emit_incident_telemetry
     from ...fault.faults import NIC_DOWN, FaultEvent
@@ -132,10 +132,10 @@ def run_scenario(name: str, seed: int = 0, n_steps: int = 24) -> TelemetryHub:
             fabric = ClosFabric(
                 n_nodes=8, nodes_per_pod=4, n_spines=4, agg_uplinks_per_spine=1
             )
-            runtime = RingCollectiveRuntime(
-                fabric, node_of_rank=[0, 4, 1, 5, 2, 6, 3, 7]
+            FabricCostModel(fabric).collective_cost(
+                "all_gather", 1 << 24, [0, 4, 1, 5, 2, 6, 3, 7],
+                hub=hub, start=clock,
             )
-            runtime.run("all_gather", 1 << 24, hub=hub, at=clock)
             simulate_bottleneck("dcqcn", 8, duration=0.02, hub=hub, t0=clock)
         elif onset and name == "preemption":
             hub.instant(

@@ -11,10 +11,9 @@ cluster shared by several training jobs.  Per incident it:
    the naive ``policy="fifo"`` baseline),
 3. walks each loser down the degradation ladder: preempt lower-priority
    capacity when the loser would otherwise stall (or fall below the
-   configured DP floor), shrink the data-parallel degree via
-   :class:`~repro.fault.elastic.ElasticReplanner` otherwise, and only
-   stall — for the bounded provisioning time — when even dp=1 does not
-   fit, and
+   configured DP floor), shrink the data-parallel degree to the largest
+   one the surviving hosts carry otherwise, and only stall — for the
+   bounded provisioning time — when even dp=1 does not fit, and
 4. schedules retry-with-backoff regrow attempts so degraded jobs claim
    freed capacity later instead of blocking on it now.
 
@@ -38,7 +37,6 @@ import numpy as np
 from ..collectives.init import group_init_time
 from ..collectives.kvstore import REDIS_STORE
 from ..fault.driver import detection_time
-from ..fault.elastic import ElasticReplanner
 from ..fault.faults import FaultEvent, FaultInjector, Manifestation
 from ..hardware.cluster import Cluster
 from ..network.topology import Topology
@@ -200,7 +198,6 @@ class ClusterScheduler:
         self.hub = hub
         self.placement = PlacementMap(topology=topology)
         self.pool = SparePool(cluster=cluster, policy=policy)
-        self.elastic = ElasticReplanner()
         self.decisions: List[SchedulerDecision] = []
         self.segments: List[GoodputSegment] = []
         self.jobs: Dict[str, JobStatus] = {}
@@ -419,24 +416,20 @@ class ClusterScheduler:
     def _best_dp(self, status: JobStatus, n_nodes: int) -> int:
         """Largest DP degree ``n_nodes`` hosts can sustain (0 = none).
 
-        Shrinks route through :class:`ElasticReplanner` (same structural
-        constraints as the tuner), restricted to plans that pack onto
-        whole hosts.
+        A structural shrink: the model-parallel layout stays fixed and
+        only data-parallel replicas are shed, down to the largest degree
+        whose world size fits the surviving GPUs and packs onto whole
+        hosts.
         """
-        from ..parallel.tuner import shrink_dp_plans
-
         spec = status.spec
+        plan = spec.plan
         gpus = n_nodes * spec.gpus_per_node
-        if gpus >= spec.plan.world_size:
-            return spec.plan.dp
-        if gpus < 1:
-            return 0
-        for candidate in shrink_dp_plans(spec.plan, gpus):
-            if candidate.world_size % spec.gpus_per_node:
-                continue
-            decision = self.elastic.replan(spec.plan, candidate.world_size)
-            if decision is not None:
-                return decision.new_plan.dp
+        if gpus >= plan.world_size:
+            return plan.dp
+        model_parallel = plan.tp * plan.pp
+        for dp in range(gpus // model_parallel, 0, -1):
+            if dp * model_parallel % spec.gpus_per_node == 0:
+                return dp
         return 0
 
     def _handle_shortfall(

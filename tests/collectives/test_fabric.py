@@ -11,7 +11,6 @@ from repro.collectives import (
     GroupCommModel,
     PfcPenaltyModel,
     build_comm_model,
-    collective_cost,
     fabric_collective_cost,
     ring_all_gather,
     ring_all_reduce,
@@ -173,18 +172,6 @@ def test_validate_backend():
         assert validate_backend(backend) == backend
     with pytest.raises(ValueError):
         validate_backend("quantum")
-
-
-def test_collective_cost_fabric_dispatch():
-    fabric = _fabric(n_nodes=8, nodes_per_pod=8)
-    nodes = (0, 1, 2, 3)
-    routed = collective_cost(
-        "all_gather", 1e9, 4, 1.0, backend="fabric", fabric=fabric, nodes=nodes
-    )
-    direct = fabric_collective_cost("all_gather", 1e9, nodes, fabric)
-    assert routed.time == pytest.approx(direct.time)
-    with pytest.raises(ValueError):
-        collective_cost("all_gather", 1e9, 4, 1.0, backend="fabric")
 
 
 def test_group_comm_model_backend():
@@ -401,17 +388,3 @@ def test_fabric_memo_telemetry_only_on_fresh_compute():
     fabric_collective_cost("reduce_scatter", 1e8, (0, 1), fabric, hub=hub)
     assert hub.metrics.counter("collectives.fabric_priced", kind="reduce_scatter") == 1.0
     assert hub.session.span_count("collectives") == 1
-
-
-def test_runtime_defaults_unchanged_by_fabric_knobs():
-    # The event runtime's historical clean-fabric behaviour (ideal
-    # transport, no demand cap, no PFC) is the default.
-    from repro.collectives.runtime import RingCollectiveRuntime
-
-    fabric = _fabric(n_nodes=8, nodes_per_pod=8)
-    runtime = RingCollectiveRuntime(fabric, node_of_rank=list(range(4)))
-    assert runtime.cc_efficiency == 1.0
-    assert runtime.flow_demand is None
-    assert runtime.penalty is None
-    run = runtime.run("all_gather", 1e9)
-    assert run.steps[0].paused_flows == 0

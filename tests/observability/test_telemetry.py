@@ -11,7 +11,7 @@ from repro.fault import CheckpointPlanner, FaultInjector, ProductionRun
 from repro.model import GPT_13B, GPT_175B
 from repro.network import LinkFlapper, LinkTable, simulate_bottleneck
 from repro.network.topology import ClosFabric
-from repro.collectives.runtime import RingCollectiveRuntime
+from repro.collectives import FabricCostModel
 from repro.observability import (
     SUBSYSTEM_LANES,
     MetricsRegistry,
@@ -247,16 +247,18 @@ def test_training_runner_emits_spans_and_gauges():
 def test_collective_runtime_emits_span_with_attrs():
     hub = TelemetryHub()
     fabric = ClosFabric(n_nodes=4, nodes_per_pod=4)
-    runtime = RingCollectiveRuntime(fabric, node_of_rank=[0, 1, 2, 3])
-    run = runtime.run("all_reduce", 1 << 20, hub=hub)
+    cost = FabricCostModel(fabric).collective_cost("all_reduce", 1 << 20, [0, 1, 2, 3], hub=hub)
     (span,) = hub.session.spans("collectives")
-    assert span.name == "all_reduce"
+    assert span.name == "fabric:all_reduce"
     assert span.attr("bytes") == 1 << 20
-    assert span.attr("algorithm") == "ring"
-    assert span.duration == pytest.approx(run.total_time)
-    assert hub.metrics.counter("collectives.bytes_moved") == 1 << 20
-    digest = hub.metrics.digest("collectives.step_time", kind="all_reduce")
-    assert digest is not None and digest.count == len(run.steps)
+    assert span.attr("steps") == cost.n_steps == 6
+    assert span.attr("n_flows") == 4
+    assert span.duration == pytest.approx(cost.time)
+    assert hub.metrics.counter("collectives.fabric_priced", kind="all_reduce") == 1.0
+    utilization = hub.metrics.gauge_series("network.fabric_link_utilization", rank=0)
+    load = hub.metrics.gauge_series("network.fabric_max_link_load", rank=0)
+    assert [v for _, v in utilization] == [cost.step.utilization]
+    assert [v for _, v in load] == [float(cost.step.max_link_load)]
 
 
 def test_congestion_emits_utilization_samples():
