@@ -18,8 +18,9 @@ from conftest import print_banner
 
 from repro.core.features import MEGASCALE_ISO_BATCH
 from repro.model import GPT_175B
-from repro.observability import CudaEventTimer, attribute_decline
+from repro.observability import attribute_decline
 from repro.parallel import plan_for_gpus
+from repro.sim import TraceRecorder
 from repro.training import TrainingRunner
 
 N_ITER = 80
@@ -40,17 +41,18 @@ def compute_runs():
     return dirty, clean
 
 
-def synthesize_timer(dirty_run) -> CudaEventTimer:
-    """Per-rank segment records matching the dirty run's growing skew."""
+def synthesize_timer(dirty_run) -> TraceRecorder:
+    """Per-rank segment spans matching the dirty run's growing skew."""
     rng = np.random.default_rng(0)
-    timer = CudaEventTimer()
+    timer = TraceRecorder()
     for step in range(0, N_ITER, 2):
         for rank in (0, 1):  # the paper's scaled-down two-rank experiment
-            timer.record(rank, step, "forward", 4.0 + rng.normal(0, 0.01))
-            timer.record(rank, step, "backward", 8.0 + rng.normal(0, 0.02))
-            timer.record(rank, step, "optimizer", 0.4 + rng.normal(0, 0.004))
+            timer.record("forward", rank, 0.0, 4.0 + rng.normal(0, 0.01), step=step)
+            timer.record("backward", rank, 0.0, 8.0 + rng.normal(0, 0.02), step=step)
+            timer.record("optimizer", rank, 0.0, 0.4 + rng.normal(0, 0.004), step=step)
             skew = step * 2e-3 if rank == 1 else 0.0
-            timer.record(rank, step, "reduce_scatter", 0.05 + skew, started_at=12.5 + skew)
+            start = 12.5 + skew
+            timer.record("reduce_scatter", rank, start, start + 0.05 + skew, step=step)
     return timer
 
 

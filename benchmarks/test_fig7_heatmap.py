@@ -1,7 +1,6 @@
 """Figure 7: the performance heat-map exposing straggler machines.
 
-The CUDA-event timer aggregates forward/backward latency per rank across
-steps; the heat map reveals that ~0.5% of machines run ~10% slower.
+Per-rank forward/backward segment spans are averaged across steps; the heat map reveals that ~0.5% of machines run ~10% slower.
 Excluding them recovers ~0.7% MFU (§6.3 "computational stragglers").
 """
 
@@ -11,7 +10,8 @@ import numpy as np
 from conftest import print_banner
 
 from repro import job_175b, megascale
-from repro.observability import CudaEventTimer, analyze, render_ascii, straggler_machines
+from repro.observability import analyze, render_ascii, straggler_machines
+from repro.sim import TraceRecorder
 
 N_RANKS = 1024
 N_STEPS = 20
@@ -22,13 +22,13 @@ SLOWDOWN = 1.10
 def compute_heatmap():
     rng = np.random.default_rng(11)
     slow_hosts = set(rng.choice(N_RANKS // 8, max(1, int(N_RANKS / 8 * SLOW_FRACTION)), replace=False))
-    timer = CudaEventTimer()
+    timer = TraceRecorder()
     for step in range(N_STEPS):
         for rank in range(N_RANKS):
             host = rank // 8
             base = 0.120 * (SLOWDOWN if host in slow_hosts else 1.0)
-            timer.record(rank, step, "forward", base + rng.normal(0, 0.0015))
-            timer.record(rank, step, "backward", 2 * base + rng.normal(0, 0.003))
+            timer.record("forward", rank, 0.0, base + rng.normal(0, 0.0015), step=step)
+            timer.record("backward", rank, 0.0, 2 * base + rng.normal(0, 0.003), step=step)
     result = analyze(timer, "forward")
     return timer, result, slow_hosts
 

@@ -48,20 +48,20 @@ def test_fig8_timeline(benchmark):
     timeline = DistributedTimeline.from_trace(mega_trace)
     # Every stage executed all its tasks: 16 microbatches x 2 chunks x F+B.
     for rank in timeline.lanes:
-        spans = [e for e in timeline.events if e.span.rank == rank and e.span.stream == "compute"]
+        spans = [s for s in timeline.spans if s.rank == rank and s.stream == "compute"]
         assert len(spans) == 16 * 2 * 2
     # Warm-up structure: later stages start later (stage 0 first).
     starts = {
-        rank: min(e.span.start for e in timeline.events if e.span.rank == rank)
+        rank: min(s.start for s in timeline.spans if s.rank == rank)
         for rank in timeline.lanes
     }
     ordered = [starts[r] for r in sorted(starts)]
     assert ordered == sorted(ordered)
     # A mid-pipeline task's dependencies point at the previous stage.
     mid = next(
-        e.span
-        for e in timeline.events
-        if e.span.rank == 3 and e.span.name == "F" and e.span.attr("microbatch") == 5
+        s
+        for s in timeline.spans
+        if s.rank == 3 and s.name == "F" and s.attr("microbatch") == 5
     )
     deps = timeline.dependencies_of(mid)
     assert any(d.rank == 2 for d in deps)

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Straggler hunt: find slow machines and hung GPUs with the §5 tools.
 
-Plants a few degraded hosts in a simulated fleet, collects CUDA-event
-timings, and walks the paper's playbook: heat-map outlier detection, the
-3D-parallel dependency view of a hang, and timeout-log localization.
+Plants a few degraded hosts in a simulated fleet, records per-rank
+forward segment spans, and walks the paper's playbook: heat-map outlier
+detection, the 3D-parallel dependency view of a hang, and timeout-log
+localization.
 
     python examples/straggler_hunt.py
 """
@@ -11,7 +12,6 @@ timings, and walks the paper's playbook: heat-map outlier detection, the
 import numpy as np
 
 from repro.observability import (
-    CudaEventTimer,
     DependencyGraph,
     analyze,
     localize_hang,
@@ -22,6 +22,7 @@ from repro.observability import (
     straggler_machines,
 )
 from repro.parallel import ParallelPlan
+from repro.sim import TraceRecorder
 
 
 def main() -> None:
@@ -30,12 +31,13 @@ def main() -> None:
 
     # --- act 1: the heat map finds computational stragglers ----------------
     slow_hosts = {5, 21}
-    timer = CudaEventTimer()
+    spans = TraceRecorder()
     for step in range(12):
         for rank in range(plan.world_size):
             slowdown = 1.10 if rank // 8 in slow_hosts else 1.0
-            timer.record(rank, step, "forward", 0.1 * slowdown + rng.normal(0, 0.001))
-    result = analyze(timer, "forward")
+            latency = 0.1 * slowdown + rng.normal(0, 0.001)
+            spans.record("forward", rank, 0.0, latency, step=step)
+    result = analyze(spans, "forward")
     print(render_ascii(result, width=64, label="forward-latency heat map (256 ranks)"))
     print(f"flagged machines: {straggler_machines(result)} (planted: {sorted(slow_hosts)})\n")
 

@@ -6,7 +6,7 @@ and stalling the job is to *keep training smaller*: drop the dead
 data-parallel replicas, re-plan to the largest DP degree the surviving
 GPUs support, and resume at reduced throughput until capacity returns.
 
-The re-plan goes through :func:`repro.parallel.tuner.shrink_dp_plans`
+The re-plan walks :func:`repro.parallel.tuner.iter_shrink_dp_plans`
 so it honours the same structural constraints as the original tuner
 (model-parallel layout fixed, batch divisibility, optional memory
 feasibility when the model is known).

@@ -1,6 +1,6 @@
-"""Observability tools: CUDA-event timers, heat maps, timelines, 3D viz."""
+"""Observability tools: segment spans, heat maps, timelines, 3D viz."""
 
-from .cuda_events import SEGMENTS, CudaEventTimer, EventRecord, EventStreamer
+from .cuda_events import SEGMENTS, EventStreamer
 from .hang import HangDiagnosis, localize_hang, simulate_timeout_logs
 from .heatmap import (
     HeatmapResult,
@@ -17,14 +17,12 @@ from .mfu_analysis import (
     segment_trends,
 )
 from .export import (
-    dump_chrome_trace,
     dump_telemetry,
     hub_to_chrome_trace,
     lane_recorder,
     lane_summary,
     load_trace_document,
     loads_round_trip,
-    timeline_to_chrome_trace,
 )
 from .diagnosis import (
     DiagnosisEngine,
@@ -44,11 +42,10 @@ from .telemetry import (
     TelemetryHub,
     TraceSession,
 )
-from .timeline import DistributedTimeline, TimelineEvent, pipeline_group_timeline
+from .timeline import DistributedTimeline, pipeline_group_timeline
 from .viz3d import DependencyGraph, RankView, rank_view, render
 
 __all__ = [
-    "CudaEventTimer",
     "DeclineAttribution",
     "DependencyGraph",
     "TimerReport",
@@ -64,17 +61,14 @@ __all__ = [
     "SUBSYSTEM_LANES",
     "TelemetryHub",
     "TraceSession",
-    "dump_chrome_trace",
     "dump_telemetry",
     "hub_to_chrome_trace",
     "lane_recorder",
     "lane_summary",
     "load_trace_document",
     "loads_round_trip",
-    "timeline_to_chrome_trace",
     "diagnose",
     "DistributedTimeline",
-    "EventRecord",
     "EventStreamer",
     "HangDiagnosis",
     "HealthFinding",
@@ -84,7 +78,6 @@ __all__ = [
     "RankView",
     "SEGMENTS",
     "SegmentTrend",
-    "TimelineEvent",
     "analyze",
     "attribute_decline",
     "consistent_peak_mfu",

@@ -1,82 +1,26 @@
-"""CUDA-event-style performance timer (§5.1).
+"""CUDA-event-style segment timing (§5.1).
 
 The paper's tool times critical code segments per rank using CUDA events
 (avoiding synchronization overhead), writes records line-by-line to a
 local file, streams them through Kafka into an analytical database, and
 feeds the heat-map / timeline visualizations.
 
-Here: :class:`CudaEventTimer` records per-(rank, step, segment) durations;
+Here a timed segment is a :class:`~repro.sim.trace.Span` named after the
+segment, with a ``step`` attribute, recorded on a
+:class:`~repro.sim.trace.TraceRecorder` (or a hub's ``training`` lane);
 :class:`EventStreamer` models the file -> queue -> database pipeline so
 the analysis layer reads from the "database" exactly like the paper's.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
-import numpy as np
+from ..sim.trace import Span, TraceRecorder
 
 # The critical segments the paper's timer instruments.
 SEGMENTS = ("forward", "backward", "optimizer", "reduce_scatter", "all_gather", "data_wait")
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One timed segment occurrence on one rank."""
-
-    rank: int
-    step: int
-    segment: str
-    duration: float
-    started_at: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError("durations must be non-negative")
-
-
-@dataclass
-class CudaEventTimer:
-    """Per-rank, per-step segment timing with negligible overhead."""
-
-    records: List[EventRecord] = field(default_factory=list)
-    _by_segment: Dict[Tuple[int, str], List[float]] = field(
-        default_factory=lambda: defaultdict(list)
-    )
-
-    def record(
-        self, rank: int, step: int, segment: str, duration: float, started_at: float = 0.0
-    ) -> EventRecord:
-        rec = EventRecord(rank, step, segment, duration, started_at)
-        self.records.append(rec)
-        self._by_segment[(rank, segment)].append(duration)
-        return rec
-
-    def mean_duration(self, rank: int, segment: str) -> float:
-        values = self._by_segment.get((rank, segment))
-        if not values:
-            raise KeyError(f"no records for rank {rank} segment {segment!r}")
-        return float(np.mean(values))
-
-    def ranks(self) -> List[int]:
-        return sorted({r.rank for r in self.records})
-
-    def segments(self) -> List[str]:
-        return sorted({r.segment for r in self.records})
-
-    def step_records(self, step: int) -> List[EventRecord]:
-        return [r for r in self.records if r.step == step]
-
-    def rank_step_total(self, rank: int, step: int) -> float:
-        return sum(r.duration for r in self.records if r.rank == rank and r.step == step)
-
-    def matrix(self, segment: str) -> Tuple[List[int], np.ndarray]:
-        """(ranks, per-rank mean duration) for one segment — heat-map input."""
-        ranks = self.ranks()
-        values = np.array([self.mean_duration(r, segment) for r in ranks])
-        return ranks, values
 
 
 @dataclass
@@ -84,19 +28,19 @@ class EventStreamer:
     """Local log file -> Kafka queue -> analytical database (§5.1).
 
     Deliberately structural: each hop is a list with a cursor, so tests
-    can verify no records are lost or reordered and analysis reads only
+    can verify no spans are lost or reordered and analysis reads only
     what reached the database.
     """
 
-    log_file: List[EventRecord] = field(default_factory=list)
-    kafka_queue: List[EventRecord] = field(default_factory=list)
-    database: List[EventRecord] = field(default_factory=list)
+    log_file: List[Span] = field(default_factory=list)
+    kafka_queue: List[Span] = field(default_factory=list)
+    database: List[Span] = field(default_factory=list)
     _file_cursor: int = 0
     _queue_cursor: int = 0
 
-    def write_log(self, records: Iterable[EventRecord]) -> None:
-        """The training process appends records line-by-line."""
-        self.log_file.extend(records)
+    def write_log(self, spans: Iterable[Span]) -> None:
+        """The training process appends spans line-by-line."""
+        self.log_file.extend(spans)
 
     def sync_to_kafka(self, max_records: Optional[int] = None) -> int:
         """The streamer process tails the file into the queue."""
@@ -116,13 +60,12 @@ class EventStreamer:
         return len(pending)
 
     def pump(self) -> int:
-        """Drain everything end-to-end; returns records landed in the DB."""
+        """Drain everything end-to-end; returns spans landed in the DB."""
         self.sync_to_kafka()
         return self.consume_to_database()
 
-    def timer_from_database(self) -> CudaEventTimer:
-        """Build an analysis-side timer view from the database contents."""
-        timer = CudaEventTimer()
-        for rec in self.database:
-            timer.record(rec.rank, rec.step, rec.segment, rec.duration, rec.started_at)
-        return timer
+    def recorder_from_database(self) -> TraceRecorder:
+        """An analysis-side recorder over the database contents."""
+        recorder = TraceRecorder()
+        recorder.merge(self.database)
+        return recorder

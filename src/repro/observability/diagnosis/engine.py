@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..cuda_events import CudaEventTimer
 from ..hang import localize_hang
 from ..heatmap import analyze, straggler_machines
 from .baselines import (
@@ -183,24 +182,18 @@ class DiagnosisEngine:
     # -- evidence sources --------------------------------------------------
 
     def _heatmap_candidates(self, residuals: List[ResidualWindow]) -> List[Candidate]:
-        """Straggler heat-map (§5.1) rebuilt from the compute spans.
+        """Straggler heat-map (§5.1) over the per-step forward spans.
 
         Upgrades a generic pipeline-term regression to a named straggler
         when specific ranks run hot relative to the fleet median.
         """
-        timer = CudaEventTimer()
-        for span in self.view.spans("training"):
-            if span.name not in ("forward", "backward"):
-                continue
-            step = span.attr("step")
-            if step is None:
-                continue
-            timer.record(span.rank, int(step), span.name, span.duration,
-                         started_at=span.start)
-        try:
-            result = analyze(timer, "forward")
-        except ValueError:
+        forward = [
+            s for s in self.view.spans("training", "forward")
+            if s.attr("step") is not None
+        ]
+        if not forward:
             return []
+        result = analyze(forward, "forward")
         if not result.outliers:
             return []
         pipeline_windows = [w for w in residuals if w.term == "pipeline"]

@@ -1,16 +1,14 @@
 """Chrome trace-event export.
 
-Serializes a :class:`~repro.observability.DistributedTimeline` (or raw
-trace spans) into the Chrome trace-event JSON format, loadable in
-``chrome://tracing`` / Perfetto — the practical equivalent of the
-paper's timeline UI for anyone running this reproduction.
-
-Beyond the single-lane legacy path, :func:`hub_to_chrome_trace` renders
-a whole :class:`~repro.observability.telemetry.TelemetryHub` session as
-one unified document: one ``pid`` lane per subsystem, complete (``X``)
-events for spans, instant (``i``) events for faults/findings/flaps, and
-counter (``C``) events for gauge samples.  All events are sorted on a
-total order so the same session always serializes byte-identically.
+:func:`hub_to_chrome_trace` renders a whole
+:class:`~repro.observability.telemetry.TelemetryHub` session into the
+Chrome trace-event JSON format, loadable in ``chrome://tracing`` /
+Perfetto — the practical equivalent of the paper's timeline UI for
+anyone running this reproduction.  The document has one ``pid`` lane per
+subsystem, complete (``X``) events for spans, instant (``i``) events for
+faults/findings/flaps, and counter (``C``) events for gauge samples.
+All events are sorted on a total order so the same session always
+serializes byte-identically.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from ..sim.trace import Span, TraceRecorder
-from .timeline import DistributedTimeline
 
 # Chrome traces use microseconds.
 _US = 1e6
@@ -77,41 +74,6 @@ def _event_order(event: dict) -> tuple:
         event.get("ph", ""),
         event.get("name", ""),
     )
-
-
-def timeline_to_chrome_trace(
-    timeline: DistributedTimeline,
-    job_name: str = "megascale",
-    pid: int = 0,
-) -> dict:
-    """The full trace document for one timeline.
-
-    ``pid`` selects the process lane every event lands on (default 0
-    keeps the legacy single-lane layout); 'X' events are sorted by
-    timestamp so Perfetto renders a deterministic lane order.
-    """
-    events: List[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "args": {"name": job_name},
-        }
-    ]
-    for rank in sorted(timeline.lanes):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": rank,
-                "args": {"name": f"rank {rank}"},
-            }
-        )
-    events.extend(
-        sorted((span_to_event(e.span, pid=pid) for e in timeline.events), key=_event_order)
-    )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def hub_to_chrome_trace(hub, job_name: Optional[str] = None) -> dict:
@@ -179,21 +141,6 @@ def hub_to_chrome_trace(hub, job_name: Optional[str] = None) -> dict:
         timed.extend(counter_to_event(name, t, v, pid=pid, tid=tid) for t, v in series)
     events.extend(sorted(timed, key=_event_order))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def dump_chrome_trace(
-    trace: TraceRecorder,
-    path: str,
-    ranks: Optional[List[int]] = None,
-    job_name: str = "megascale",
-    pid: int = 0,
-) -> int:
-    """Write a trace recorder's spans to ``path``; returns event count."""
-    timeline = DistributedTimeline.from_trace(trace, ranks=ranks)
-    document = timeline_to_chrome_trace(timeline, job_name=job_name, pid=pid)
-    with open(path, "w") as handle:
-        json.dump(document, handle)
-    return len(document["traceEvents"])
 
 
 def dump_telemetry(

@@ -10,11 +10,11 @@ makes peak MFU consistent across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .cuda_events import CudaEventTimer
+from ..sim.trace import Span
 
 
 @dataclass(frozen=True)
@@ -34,23 +34,31 @@ class HeatmapResult:
 
 
 def analyze(
-    timer: CudaEventTimer,
+    spans: Iterable[Span],
     segment: str = "forward",
     mad_multiplier: float = 5.0,
     min_relative_excess: float = 0.04,
 ) -> HeatmapResult:
     """Flag ranks whose mean latency is anomalously high.
 
-    A rank is a straggler when it exceeds the median by both
-    ``mad_multiplier`` MADs *and* ``min_relative_excess`` of the median —
-    the second guard avoids flagging noise on near-uniform fleets.
+    ``spans`` is any iterable of segment spans (a
+    :class:`~repro.sim.trace.TraceRecorder`, a hub lane, a view's
+    spans); each rank's latency is the mean duration of its spans named
+    ``segment``, in input order.  A rank is a straggler when it exceeds
+    the median by both ``mad_multiplier`` MADs *and*
+    ``min_relative_excess`` of the median — the second guard avoids
+    flagging noise on near-uniform fleets.
     """
     if mad_multiplier <= 0:
         raise ValueError("mad_multiplier must be positive")
-    ranks, values = timer.matrix(segment)
-    if len(ranks) == 0:
-        raise ValueError(f"no records for segment {segment!r}")
-    arr = np.asarray(values, dtype=float)
+    durations: Dict[int, List[float]] = {}
+    for span in spans:
+        if span.name == segment:
+            durations.setdefault(span.rank, []).append(span.duration)
+    if not durations:
+        raise KeyError(f"no spans for segment {segment!r}")
+    ranks = sorted(durations)
+    arr = np.array([float(np.mean(durations[r])) for r in ranks])
     median = float(np.median(arr))
     mad = float(np.median(np.abs(arr - median)))
     threshold = median + max(mad_multiplier * mad, min_relative_excess * median)

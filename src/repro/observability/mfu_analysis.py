@@ -10,11 +10,12 @@ stable, at *launch-time skew* between ranks rather than slow transfer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from .cuda_events import CudaEventTimer
+from ..sim.trace import Span
+from .cuda_events import SEGMENTS
 
 
 @dataclass(frozen=True)
@@ -32,14 +33,28 @@ class SegmentTrend:
         return self.slope_per_step > max(1e-7, 1e-4 * self.mean)
 
 
-def segment_trends(timer: CudaEventTimer) -> List[SegmentTrend]:
-    """Fit per-step linear trends for every instrumented segment."""
+def _by_step(
+    spans: Iterable[Span], segment: str, value: Callable[[Span], float]
+) -> Dict[int, List[float]]:
+    """``value`` of each ``segment`` span, grouped by its ``step`` attr."""
+    per_step: Dict[int, List[float]] = {}
+    for span in spans:
+        step = span.attr("step")
+        if span.name == segment and step is not None:
+            per_step.setdefault(step, []).append(value(span))
+    return per_step
+
+
+def segment_trends(spans: Iterable[Span]) -> List[SegmentTrend]:
+    """Fit per-step linear trends for every instrumented segment.
+
+    Only names in :data:`~repro.observability.cuda_events.SEGMENTS`
+    count, so a hub lane's ``iteration``/``expectation`` spans stay out.
+    """
+    spans = list(spans)
     trends = []
-    for segment in timer.segments():
-        per_step: Dict[int, List[float]] = {}
-        for rec in timer.records:
-            if rec.segment == segment:
-                per_step.setdefault(rec.step, []).append(rec.duration)
+    for segment in sorted({s.name for s in spans if s.name in SEGMENTS}):
+        per_step = _by_step(spans, segment, lambda s: s.duration)
         steps = sorted(per_step)
         if len(steps) < 2:
             continue
@@ -61,9 +76,10 @@ class DeclineAttribution:
     conclusion: str
 
 
-def attribute_decline(timer: CudaEventTimer) -> DeclineAttribution:
-    """Run the §6.3 elimination on a timer's records."""
-    trends = segment_trends(timer)
+def attribute_decline(spans: Iterable[Span]) -> DeclineAttribution:
+    """Run the §6.3 elimination on recorded segment spans."""
+    spans = list(spans)
+    trends = segment_trends(spans)
     if not trends:
         raise ValueError("not enough steps recorded to fit trends")
     growing = [t for t in trends if t.growing]
@@ -76,7 +92,7 @@ def attribute_decline(timer: CudaEventTimer) -> DeclineAttribution:
             conclusion="no segment shows a growing trend; MFU is stable",
         )
     culprit = max(growing, key=lambda t: t.slope_per_step)
-    skew = launch_skew_trend(timer, culprit.segment) > 0
+    skew = launch_skew_trend(spans, culprit.segment) > 0
     if culprit.segment in ("reduce_scatter", "all_gather") and skew:
         conclusion = (
             f"{culprit.segment} wait grows while compute segments are stable and "
@@ -93,16 +109,13 @@ def attribute_decline(timer: CudaEventTimer) -> DeclineAttribution:
     )
 
 
-def launch_skew_trend(timer: CudaEventTimer, segment: str) -> float:
+def launch_skew_trend(spans: Iterable[Span], segment: str) -> float:
     """Trend of the spread in ranks' start times for one segment.
 
     The paper's scaled-down two-rank experiment measured reduce-scatter
     launch times "fluctuating reciprocally" with a growing stagger.
     """
-    per_step: Dict[int, List[float]] = {}
-    for rec in timer.records:
-        if rec.segment == segment:
-            per_step.setdefault(rec.step, []).append(rec.started_at)
+    per_step = _by_step(spans, segment, lambda s: s.start)
     steps = sorted(s for s, starts in per_step.items() if len(starts) >= 2)
     if len(steps) < 2:
         return 0.0

@@ -8,9 +8,9 @@ what the paper's on-call engineer reads when a job misbehaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
-from .cuda_events import CudaEventTimer
+from ..sim.trace import Span
 from .heatmap import HeatmapResult, analyze, straggler_machines
 from .mfu_analysis import DeclineAttribution, attribute_decline
 
@@ -46,15 +46,16 @@ class TimerReport:
 
 
 def diagnose(
-    timer: CudaEventTimer,
+    spans: Iterable[Span],
     segment: str = "forward",
     gpus_per_node: int = 8,
 ) -> TimerReport:
-    """Run the full §5 analysis battery on a timer's recordings."""
-    heatmap = analyze(timer, segment)
+    """Run the full §5 analysis battery on recorded segment spans."""
+    spans = list(spans)
+    heatmap = analyze(spans, segment)
     nodes = straggler_machines(heatmap, gpus_per_node)
     try:
-        decline = attribute_decline(timer)
+        decline = attribute_decline(spans)
     except ValueError:
         decline = None
 

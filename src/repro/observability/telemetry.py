@@ -24,7 +24,7 @@ byte-identical across runs of the same seed.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..sim.trace import Span, TraceRecorder

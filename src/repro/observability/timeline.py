@@ -8,56 +8,39 @@ structure that single-node profilers cannot show.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..sim.trace import Span, TraceRecorder
-
-
-@dataclass(frozen=True)
-class TimelineEvent:
-    """A span placed on the merged timeline."""
-
-    span: Span
-    lane: int  # display row (one per rank)
+from ..sim.trace import Span
 
 
 @dataclass
 class DistributedTimeline:
     """Spans of many ranks merged onto a single time axis."""
 
-    events: List[TimelineEvent]
+    spans: List[Span]  # sorted by (start, rank)
     lanes: Dict[int, int]  # rank -> lane index
 
     @classmethod
     def from_trace(
-        cls, trace: TraceRecorder, ranks: Optional[List[int]] = None
+        cls, trace: Iterable[Span], ranks: Optional[List[int]] = None
     ) -> "DistributedTimeline":
-        selected = ranks if ranks is not None else trace.ranks()
+        spans = sorted(trace, key=lambda s: (s.start, s.rank))
+        selected = ranks if ranks is not None else sorted({s.rank for s in spans})
         lanes = {rank: i for i, rank in enumerate(selected)}
-        events = [
-            TimelineEvent(span=s, lane=lanes[s.rank])
-            for s in sorted(trace, key=lambda s: (s.start, s.rank))
-            if s.rank in lanes
-        ]
-        return cls(events=events, lanes=lanes)
+        return cls(spans=[s for s in spans if s.rank in lanes], lanes=lanes)
 
     @property
     def span_count(self) -> int:
-        return len(self.events)
+        return len(self.spans)
 
     def extent(self) -> Tuple[float, float]:
-        if not self.events:
+        if not self.spans:
             return (0.0, 0.0)
-        return (
-            min(e.span.start for e in self.events),
-            max(e.span.end for e in self.events),
-        )
+        return (min(s.start for s in self.spans), max(s.end for s in self.spans))
 
     def gaps(self, rank: int, min_gap: float = 0.0) -> List[Tuple[float, float]]:
         """Idle intervals on one rank's lane — the pipeline bubbles."""
-        spans = sorted(
-            (e.span for e in self.events if e.span.rank == rank), key=lambda s: s.start
-        )
+        spans = sorted((s for s in self.spans if s.rank == rank), key=lambda s: s.start)
         gaps = []
         for prev, nxt in zip(spans, spans[1:]):
             if nxt.start - prev.end > min_gap:
@@ -72,8 +55,7 @@ class DistributedTimeline:
         span per other rank ending at or before this one's start (the
         Figure 8 'dependencies become visible when an event is selected')."""
         out: Dict[int, Span] = {}
-        for event in self.events:
-            s = event.span
+        for s in self.spans:
             if s.rank == span.rank or s.end > span.start + 1e-12:
                 continue
             held = out.get(s.rank)
@@ -90,12 +72,12 @@ class DistributedTimeline:
         lines = []
         for rank in sorted(self.lanes, key=self.lanes.get):
             row = ["."] * width
-            for event in self.events:
-                if event.span.rank != rank:
+            for s in self.spans:
+                if s.rank != rank:
                     continue
-                a = int((event.span.start - start) / span * (width - 1))
-                b = int((event.span.end - start) / span * (width - 1))
-                glyph = "#" if event.span.stream != "comm" else "~"
+                a = int((s.start - start) / span * (width - 1))
+                b = int((s.end - start) / span * (width - 1))
+                glyph = "#" if s.stream != "comm" else "~"
                 for i in range(a, max(a, b) + 1):
                     row[i] = glyph
             lines.append(f"rank {rank:5d} |{''.join(row)}|")
@@ -103,7 +85,7 @@ class DistributedTimeline:
 
 
 def pipeline_group_timeline(
-    trace: TraceRecorder, pp_group: List[int]
+    trace: Iterable[Span], pp_group: List[int]
 ) -> DistributedTimeline:
     """Figure 8's view: the events of one pipeline-parallel group."""
     if not pp_group:

@@ -91,11 +91,6 @@ def iter_shrink_dp_plans(plan: ParallelPlan, n_gpus: int) -> Iterator[ParallelPl
         yield plan.with_options(dp=d)
 
 
-def shrink_dp_plans(plan: ParallelPlan, n_gpus: int) -> List[ParallelPlan]:
-    """Eager form of :func:`iter_shrink_dp_plans`."""
-    return list(iter_shrink_dp_plans(plan, n_gpus))
-
-
 def feasible(model: ModelSpec, plan: ParallelPlan, gpu: GpuSpec, global_batch: int) -> bool:
     """Memory + batch-divisibility feasibility."""
     try:

@@ -83,7 +83,7 @@ class TraceRecorder:
     def total_time(self, rank: int, name: Optional[str] = None) -> float:
         return sum(s.duration for s in self.spans(rank=rank, name=name))
 
-    def merge(self, other: "TraceRecorder") -> None:
+    def merge(self, other: Iterable[Span]) -> None:
         for span in other:
             self._spans.append(span)
             self._by_rank.setdefault(span.rank, []).append(span)

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.calibration import (
-    Anchor,
-    default_fixture_dir,
     fit_anchors,
     load_anchors,
     sc21_hardware_flops,

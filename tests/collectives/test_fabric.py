@@ -8,7 +8,6 @@ from repro.collectives import (
     COST_BACKENDS,
     DEFAULT_CC_EFFICIENCY,
     FabricCostModel,
-    GroupCommModel,
     PfcPenaltyModel,
     build_comm_model,
     fabric_collective_cost,

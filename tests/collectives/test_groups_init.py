@@ -3,7 +3,6 @@
 import pytest
 
 from repro.collectives import (
-    GroupCommModel,
     REDIS_STORE,
     TCP_STORE,
     build_comm_model,

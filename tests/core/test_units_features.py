@@ -1,7 +1,5 @@
 """Tests for unit helpers and feature presets."""
 
-import pytest
-
 from repro.core import units
 from repro.core.features import (
     DEFAULT_SWA_WINDOW,

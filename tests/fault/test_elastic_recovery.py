@@ -7,7 +7,6 @@ from repro.fault import (
     CheckpointPlanner,
     FaultEvent,
     ProductionRun,
-    ProductionRunConfig,
 )
 from repro.fault.domains import RACK_POWER_FAULT, CorrelatedFaultInjector
 from repro.fault.elastic import ElasticReplanner
@@ -16,7 +15,7 @@ from repro.hardware import Cluster
 from repro.model import GPT_175B
 from repro.network.topology import Topology
 from repro.parallel import plan_for_gpus
-from repro.parallel.tuner import shrink_dp_plans
+from repro.parallel.tuner import iter_shrink_dp_plans
 
 
 class FixedInjector:
@@ -44,12 +43,12 @@ def rack_event(time=3600.0, nodes=(0, 1, 2, 3)):
 
 def test_shrink_dp_plans_keeps_model_parallel_layout():
     plan = plan_for_gpus(64, tp=2, pp=2)
-    candidates = shrink_dp_plans(plan, 40)
+    candidates = list(iter_shrink_dp_plans(plan, 40))
     assert [c.dp for c in candidates] == list(range(10, 0, -1))
     assert all(c.tp == 2 and c.pp == 2 for c in candidates)
-    assert shrink_dp_plans(plan, 3) == []  # below one model-parallel replica
+    assert list(iter_shrink_dp_plans(plan, 3)) == []  # below one model-parallel replica
     with pytest.raises(ValueError):
-        shrink_dp_plans(plan, 0)
+        list(iter_shrink_dp_plans(plan, 0))
 
 
 def test_replanner_prefers_largest_feasible_dp():

@@ -1,67 +1,67 @@
-"""Tests for the CUDA-event timer, streaming pipeline and heat map."""
+"""Tests for segment-span streaming and the straggler heat map."""
 
 import numpy as np
 import pytest
 
 from repro.observability import (
-    CudaEventTimer,
     EventStreamer,
     analyze,
     consistent_peak_mfu,
     render_ascii,
     straggler_machines,
 )
+from repro.sim import TraceRecorder
 
 
 def make_timer(n_ranks=64, n_steps=10, slow_ranks=(), slowdown=1.12, seed=0):
     """Synthetic fleet: ~constant forward times, some ranks slower."""
     rng = np.random.default_rng(seed)
-    timer = CudaEventTimer()
+    timer = TraceRecorder()
     for step in range(n_steps):
         for rank in range(n_ranks):
             base = 0.100 * (slowdown if rank in slow_ranks else 1.0)
-            timer.record(rank, step, "forward", base + rng.normal(0, 0.001))
+            timer.record("forward", rank, 0.0, base + rng.normal(0, 0.001), step=step)
     return timer
 
 
-def test_timer_mean_and_matrix():
-    timer = CudaEventTimer()
-    timer.record(0, 0, "forward", 0.1)
-    timer.record(0, 1, "forward", 0.3)
-    assert timer.mean_duration(0, "forward") == pytest.approx(0.2)
-    ranks, values = timer.matrix("forward")
-    assert ranks == [0]
-    assert values[0] == pytest.approx(0.2)
-    with pytest.raises(KeyError):
-        timer.mean_duration(9, "forward")
+def test_analyze_means_each_rank_in_input_order():
+    timer = TraceRecorder()
+    timer.record("forward", 3, 0.0, 0.1, step=0)
+    timer.record("forward", 0, 0.0, 0.3, step=0)
+    timer.record("backward", 9, 0.0, 1.0, step=0)
+    timer.record("forward", 0, 0.0, 0.1, step=1)
+    result = analyze(timer, "forward")
+    assert result.ranks == (0, 3)  # sorted; ranks without the segment skipped
+    assert result.latencies == (float(np.mean([0.3, 0.1])), 0.1)
+    assert result.latencies[0] == pytest.approx(0.2)
 
 
 def test_timer_validation():
-    timer = CudaEventTimer()
+    timer = TraceRecorder()
     with pytest.raises(ValueError):
-        timer.record(0, 0, "forward", -1.0)
+        timer.record("forward", 0, 0.0, -1.0, step=0)
 
 
 def test_streamer_end_to_end_no_loss():
     timer = make_timer(n_ranks=4, n_steps=3)
     streamer = EventStreamer()
-    streamer.write_log(timer.records)
+    streamer.write_log(timer)
     landed = streamer.pump()
-    assert landed == len(timer.records)
-    assert streamer.database == timer.records  # order preserved
-    rebuilt = streamer.timer_from_database()
+    assert landed == len(timer)
+    assert streamer.database == list(timer)  # order preserved
+    rebuilt = streamer.recorder_from_database()
     assert rebuilt.ranks() == timer.ranks()
 
 
 def test_streamer_incremental_sync():
     streamer = EventStreamer()
-    timer = make_timer(n_ranks=2, n_steps=2)
-    streamer.write_log(timer.records[:2])
+    timer = list(make_timer(n_ranks=2, n_steps=2))
+    streamer.write_log(timer[:2])
     assert streamer.sync_to_kafka() == 2
-    streamer.write_log(timer.records[2:])
-    assert streamer.sync_to_kafka() == len(timer.records) - 2
+    streamer.write_log(timer[2:])
+    assert streamer.sync_to_kafka() == len(timer) - 2
     assert streamer.consume_to_database(max_records=1) == 1
-    assert streamer.consume_to_database() == len(timer.records) - 1
+    assert streamer.consume_to_database() == len(timer) - 1
 
 
 def test_heatmap_finds_planted_stragglers():
@@ -129,7 +129,7 @@ def test_heatmap_decisions_driven_by_gpu_compute_time():
 
     kernel_flops = 5e11
     slow = {3, 17}
-    timer = CudaEventTimer()
+    timer = TraceRecorder()
     for rank in range(32):
         gpu = Gpu(spec=AMPERE, index=rank)
         if rank in slow:
@@ -139,7 +139,7 @@ def test_heatmap_decisions_driven_by_gpu_compute_time():
             # speed_factor == 1.0 is a bit-for-bit no-op on the price.
             assert latency == AMPERE.gemm_time(kernel_flops)
         for step in range(4):
-            timer.record(rank, step, "forward", latency)
+            timer.record("forward", rank, 0.0, latency, step=step)
     result = analyze(timer, "forward")
     assert set(result.outliers) == slow
     assert straggler_machines(result, gpus_per_node=8) == [0, 2]

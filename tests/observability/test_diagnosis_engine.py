@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.observability import TelemetryHub, diagnose_files, diagnose_hub
+from repro.observability import diagnose_files, diagnose_hub
 from repro.observability.diagnosis import (
     SCENARIOS,
     TRUE_CAUSE,

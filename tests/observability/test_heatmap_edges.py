@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.observability import CudaEventTimer, analyze, render_ascii, straggler_machines
+from repro.observability import analyze, render_ascii, straggler_machines
+from repro.sim import TraceRecorder
 
 
 def _timer(latencies_by_rank):
-    timer = CudaEventTimer()
+    timer = TraceRecorder()
     for rank, latency in enumerate(latencies_by_rank):
-        timer.record(rank, 0, "forward", latency)
+        timer.record("forward", rank, 0.0, latency, step=0)
     return timer
 
 

@@ -2,21 +2,20 @@
 
 import numpy as np
 
-from repro.observability.cuda_events import CudaEventTimer
 from repro.observability.report import diagnose
+from repro.sim import TraceRecorder
 
 
 def make_timer(slow_ranks=(), skew=False, n_ranks=32, n_steps=40):
     rng = np.random.default_rng(0)
-    timer = CudaEventTimer()
+    timer = TraceRecorder()
     for step in range(n_steps):
         for rank in range(n_ranks):
             base = 0.1 * (1.12 if rank in slow_ranks else 1.0)
-            timer.record(rank, step, "forward", base + rng.normal(0, 0.0005))
+            timer.record("forward", rank, 0.0, base + rng.normal(0, 0.0005), step=step)
             rs_skew = step * 1e-3 if (skew and rank == 1) else 0.0
-            timer.record(
-                rank, step, "reduce_scatter", 0.02 + rs_skew, started_at=1.0 + rs_skew
-            )
+            start = 1.0 + rs_skew
+            timer.record("reduce_scatter", rank, start, start + 0.02 + rs_skew, step=step)
     return timer
 
 
@@ -64,11 +63,11 @@ def test_single_step_run_skips_trend_analysis():
 def test_growing_compute_segment_gets_investigate_recommendation():
     # Forward grows on every rank with no launch skew: the culprit is the
     # segment itself, not GC-staggered collective launches.
-    timer = CudaEventTimer()
+    timer = TraceRecorder()
     for step in range(40):
         for rank in range(8):
-            timer.record(rank, step, "forward", 0.1 + step * 1e-3)
-            timer.record(rank, step, "reduce_scatter", 0.02, started_at=1.0)
+            timer.record("forward", rank, 0.0, 0.1 + step * 1e-3, step=step)
+            timer.record("reduce_scatter", rank, 1.0, 1.0 + 0.02, step=step)
     report = diagnose(timer)
     assert report.decline is not None
     assert report.decline.culprit == "forward"

@@ -172,6 +172,8 @@ def test_unified_document_layout():
     xs = [e for e in events if e["ph"] == "X"]
     instants = [e for e in events if e["ph"] == "i"]
     counters = [e for e in events if e["ph"] == "C"]
+    assert document["displayTimeUnit"] == "ms"
+    assert len(xs) == 3
     names = {e["args"]["name"] for e in meta if e["name"] == "process_name"}
     assert {"unit/training", "unit/collectives", "unit/fault"} == names
     assert {e["pid"] for e in xs} == {SUBSYSTEM_LANES["training"], SUBSYSTEM_LANES["collectives"]}

@@ -13,7 +13,6 @@ from repro.observability import (
     render,
     simulate_timeout_logs,
 )
-from repro.observability.cuda_events import CudaEventTimer
 from repro.parallel import ParallelPlan
 from repro.sim import TraceRecorder
 
@@ -49,7 +48,7 @@ def test_timeline_gaps_are_bubbles():
 def test_timeline_dependencies():
     trace = make_trace()
     tl = DistributedTimeline.from_trace(trace)
-    b0 = next(e.span for e in tl.events if e.span.name == "B0")
+    b0 = next(s for s in tl.spans if s.name == "B0")
     deps = tl.dependencies_of(b0)
     # B0 at t=2 plausibly waited on rank 1's F1 ending at t=2.
     assert any(d.name == "F1" for d in deps)
@@ -68,7 +67,7 @@ def test_pipeline_group_timeline_filters():
     trace = make_trace()
     trace.record("other", rank=9, start=0.0, end=1.0)
     tl = pipeline_group_timeline(trace, pp_group=[0, 1])
-    assert all(e.span.rank in (0, 1) for e in tl.events)
+    assert all(s.rank in (0, 1) for s in tl.spans)
     with pytest.raises(ValueError):
         pipeline_group_timeline(trace, [])
 
@@ -190,16 +189,15 @@ def test_fault_driver_timeline_renders_recovery_spans():
 
 
 def _record_run(growing_rs: bool, n_steps=200):
-    timer = CudaEventTimer()
+    timer = TraceRecorder()
     for step in range(n_steps):
         for rank in (0, 1):
-            timer.record(rank, step, "forward", 0.5)
-            timer.record(rank, step, "backward", 1.0)
-            timer.record(rank, step, "optimizer", 0.05)
+            timer.record("forward", rank, 0.0, 0.5, step=step)
+            timer.record("backward", rank, 0.0, 1.0, step=step)
+            timer.record("optimizer", rank, 0.0, 0.05, step=step)
             skew = (step * 2e-4) if (growing_rs and rank == 1) else 0.0
-            timer.record(
-                rank, step, "reduce_scatter", 0.03 + skew, started_at=2.0 + skew
-            )
+            start = 2.0 + skew
+            timer.record("reduce_scatter", rank, start, start + 0.03 + skew, step=step)
     return timer
 
 
@@ -227,4 +225,4 @@ def test_launch_skew_trend_positive_when_staggered():
 
 def test_attribute_decline_validation():
     with pytest.raises(ValueError):
-        attribute_decline(CudaEventTimer())
+        attribute_decline(TraceRecorder())

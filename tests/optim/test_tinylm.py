@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.optim import LmConfig, TinyTransformerLM, causal_mask, gelu, layer_norm
-from repro.optim.tinylm import gelu_grad, layer_norm_backward, softmax
+from repro.optim.tinylm import gelu_grad, softmax
 
 
 def small_config(**kw):

@@ -14,7 +14,7 @@ from repro.fault.elastic import ElasticReplanner
 from repro.hardware.cluster import Cluster
 from repro.network.topology import Topology
 from repro.parallel.plan import ParallelPlan, plan_for_gpus
-from repro.parallel.tuner import shrink_dp_plans
+from repro.parallel.tuner import iter_shrink_dp_plans
 from repro.scheduler import ClusterScheduler, JobSpec, JobStatus
 
 SCHEDULER = ClusterScheduler(
@@ -31,7 +31,7 @@ def reference_best_dp(spec: JobSpec, n_nodes: int) -> int:
         return spec.plan.dp
     if gpus < 1:
         return 0
-    for candidate in shrink_dp_plans(spec.plan, gpus):
+    for candidate in iter_shrink_dp_plans(spec.plan, gpus):
         if candidate.world_size % spec.gpus_per_node:
             continue
         decision = ElasticReplanner().replan(spec.plan, candidate.world_size)

@@ -21,7 +21,6 @@ from repro.fault.faults import GPU_ECC
 from repro.hardware import Cluster
 from repro.model import GPT_175B
 from repro.observability import DistributedTimeline, analyze, localize_hang, simulate_timeout_logs
-from repro.observability.cuda_events import CudaEventTimer
 from repro.parallel import ParallelPlan, bubble_fraction, plan_for_gpus
 from repro.sim import Simulator, TraceRecorder
 from repro.training import IterationEngine
@@ -75,12 +74,12 @@ def test_straggler_detection_pipeline_round_trip():
     # Engine produces per-stage times; the heat map finds the slow stage.
     plan = plan_for_gpus(64, tp=8, pp=8, vpp=1)
     engine = IterationEngine(GPT_175B, plan, MEGASCALE_ISO_BATCH)
-    timer = CudaEventTimer()
+    timer = TraceRecorder()
     speeds = [1.0] * 8
     speeds[5] = 0.9
     for step in range(6):
         for stage in range(8):
-            timer.record(stage, step, "forward", engine.f_chunk / speeds[stage])
+            timer.record("forward", stage, 0.0, engine.f_chunk / speeds[stage], step=step)
     result = analyze(timer, "forward")
     assert result.outliers == (5,)
 

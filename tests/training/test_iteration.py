@@ -4,12 +4,11 @@ import pytest
 
 from repro.core.features import (
     MEGASCALE,
-    MEGASCALE_ISO_BATCH,
     MEGATRON_LM,
     ablation_sequence,
 )
 from repro.model import GPT_175B
-from repro.parallel import ParallelPlan, plan_for_gpus
+from repro.parallel import plan_for_gpus
 from repro.training import IterationEngine, expected_job_slowdown
 
 
